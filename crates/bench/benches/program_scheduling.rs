@@ -63,7 +63,9 @@ fn bench(c: &mut Criterion) {
     // scaling curves PERFORMANCE.md records. The adder widths are chosen
     // so 11w − 1 lands near each target; random-clifford-t hits it
     // exactly. Each size benches the parser and the allocate + schedule
-    // pipeline separately, so a superlinear regression is attributable.
+    // pipeline separately, so a superlinear regression is attributable;
+    // the two largest random-clifford-t sizes also schedule on the row
+    // and checkerboard layouts.
     let workloads = [
         GenSpec::new(Family::RippleCarryAdder).with_n(6),
         GenSpec::new(Family::RippleCarryAdder).with_n(93),
@@ -92,6 +94,26 @@ fn bench(c: &mut Criterion) {
                 })
             },
         );
+        // The routed 2D scheduler at scale: congestion stalls dominate, so
+        // these track the corridor-feasibility check.
+        if spec.family == Family::RandomCliffordT && program.len() >= 10_240 {
+            for layout in [LayoutSpec::row_major(), LayoutSpec::checkerboard()] {
+                group.bench_with_input(
+                    BenchmarkId::new(
+                        format!("gen_schedule_{}/{}", layout.strategy.name(), spec.family),
+                        program.len(),
+                    ),
+                    &program,
+                    |b, program| {
+                        b.iter(|| {
+                            let placement =
+                                Placement::allocate_with(program, &layout).expect("fits");
+                            schedule(program, &placement).expect("routes")
+                        })
+                    },
+                );
+            }
+        }
     }
     group.finish();
 }

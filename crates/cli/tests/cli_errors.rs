@@ -3,6 +3,7 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::time::{Duration, Instant};
 
 fn tiscc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tiscc")).args(args).output().expect("spawn tiscc")
@@ -50,6 +51,26 @@ fn bad_layout_arguments_exit_2() {
     // A grid the program fits on but cannot route over (no ancilla row at
     // all) is equally a floorplan-argument problem: exit 2.
     assert_usage_error(&["estimate", program, "--layout", "row", "--grid", "1x2"], "unroutable");
+}
+
+/// Grids past the placement's tile cap (including `rows * cols`
+/// overflows) exit 2 naming the flag within a second, instead of being
+/// killed for running out of memory.
+#[test]
+fn oversized_grids_exit_2_quickly() {
+    let program =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/programs/adder.tql");
+    let program = program.to_str().unwrap();
+    for grid in ["100000x100000", "18446744073709551615x2", "4294967296x4294967297"] {
+        for args in [
+            ["estimate", program, "--layout", "checkerboard", "--grid", grid],
+            ["frontier", program, "--layouts", "checkerboard", "--grids", grid],
+        ] {
+            let started = Instant::now();
+            assert_usage_error(&args, "tile limit; use a smaller --grid");
+            assert!(started.elapsed() < Duration::from_secs(1), "{args:?} took too long");
+        }
+    }
 }
 
 /// `--show-layout` prints the floorplan before the estimate report, and

@@ -11,7 +11,8 @@
 //! * [`QSite`] / [`SiteKind`] — addresses and roles of quantum sites,
 //! * [`Layout`] — the repeating-unit geometry, adjacency and physical size,
 //! * [`GridManager`] — ion occupancy tracking with collision checks,
-//! * [`path`] — shuttle/junction-hop routing between zones.
+//! * [`path`] — shuttle/junction-hop routing between zones, and the
+//!   tile-grid BFS and bitmask reachability behind corridor routing.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -23,5 +24,8 @@ pub mod site;
 
 pub use grid::{GridError, GridManager, QubitId};
 pub use layout::{Layout, ZONE_WIDTH_M};
-pub use path::{route, route_avoiding, route_avoiding_with, shortest_tile_path, MoveStep};
+pub use path::{
+    route, route_avoiding, route_avoiding_with, row_words, shortest_tile_path, tile_bit,
+    tiles_connected, FloodScratch, MoveStep,
+};
 pub use site::{QSite, SiteKind};

@@ -15,6 +15,9 @@
 //! that — an unweighted multi-source BFS over an abstract `rows × cols`
 //! grid with a caller-supplied passability predicate — lives here as
 //! [`shortest_tile_path`], so both layers share one routing substrate.
+//! [`tiles_connected`] answers the same reachability question exactly on
+//! a row-major tile bitmask with word-parallel flood fill, so callers that
+//! probe many infeasible searches can reject them without a BFS.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
@@ -182,7 +185,9 @@ pub fn route_avoiding_with(
 ///
 /// The search is deterministic: sources seed the queue in the order given
 /// and neighbours expand up, left, right, down, so equal-length paths
-/// resolve the same way on every run (golden tests rely on this).
+/// resolve the same way on every run (golden tests rely on this). Its
+/// state is one flat, zero-initialised predecessor table indexed by
+/// `r * cols + c`.
 ///
 /// ```
 /// use tiscc_grid::path::shortest_tile_path;
@@ -208,21 +213,25 @@ pub fn shortest_tile_path(
     passable: &dyn Fn((usize, usize)) -> bool,
 ) -> Option<Vec<(usize, usize)>> {
     let in_bounds = |(r, c): (usize, usize)| r < rows && c < cols;
-    let mut prev: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
-    let mut seen: HashSet<(usize, usize)> = HashSet::new();
+    let index = |(r, c): (usize, usize)| r * cols + c;
+    // `prev[i]` is one plus the index tile `i` was reached from (itself
+    // for a source), or 0 while unseen: a zeroed table costs nothing for
+    // the tiles a short search never touches.
+    let mut prev = vec![0usize; rows * cols];
     let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
     for &s in sources {
-        if in_bounds(s) && passable(s) && seen.insert(s) {
+        if in_bounds(s) && prev[index(s)] == 0 && passable(s) {
+            prev[index(s)] = index(s) + 1;
             queue.push_back(s);
         }
     }
     while let Some(tile) = queue.pop_front() {
         if is_goal(tile) {
             let mut path = vec![tile];
-            let mut cur = tile;
-            while let Some(&p) = prev.get(&cur) {
-                path.push(p);
-                cur = p;
+            let mut cur = index(tile);
+            while prev[cur] != cur + 1 {
+                cur = prev[cur] - 1;
+                path.push((cur / cols, cur % cols));
             }
             path.reverse();
             return Some(path);
@@ -230,13 +239,158 @@ pub fn shortest_tile_path(
         let (r, c) = tile;
         let neighbors = [(r.wrapping_sub(1), c), (r, c.wrapping_sub(1)), (r, c + 1), (r + 1, c)];
         for next in neighbors {
-            if in_bounds(next) && passable(next) && seen.insert(next) {
-                prev.insert(next, tile);
+            if in_bounds(next) && prev[index(next)] == 0 && passable(next) {
+                prev[index(next)] = index(tile) + 1;
                 queue.push_back(next);
             }
         }
     }
     None
+}
+
+/// `u64` words per row of a row-major tile bitmask over `cols` columns.
+///
+/// In such a mask tile `(r, c)` is bit `c % 64` of word
+/// `r * row_words(cols) + c / 64`; the padding bits past `cols` in each
+/// row's last word are always 0.
+pub fn row_words(cols: usize) -> usize {
+    cols.div_ceil(64)
+}
+
+/// The word index and bit mask of tile `(r, c)` in a row-major tile
+/// bitmask over `cols` columns (layout in [`row_words`]).
+pub fn tile_bit(cols: usize, (r, c): (usize, usize)) -> (usize, u64) {
+    (r * row_words(cols) + c / 64, 1 << (c % 64))
+}
+
+/// Reusable working memory for [`tiles_connected`]: the reached-tile
+/// bitmask and the rows still to fill. Keeping one across probes makes a
+/// probe allocation-free.
+#[derive(Clone, Debug, Default)]
+pub struct FloodScratch {
+    reach: Vec<u64>,
+    pending: Vec<bool>,
+}
+
+/// Exact bit-parallel reachability over a tile bitmask: `true` iff
+/// [`shortest_tile_path`] with the same sources, goals and passability
+/// would find a path, decided without a queue or per-tile state.
+///
+/// `passable` is a row-major tile bitmask (layout in [`row_words`]) whose
+/// padding bits are 0. The reached set grows from the passable `sources`
+/// by flood fill until no row changes or a `goals` tile is reached:
+///
+/// * within a row, seeds spread rightward through their run of passable
+///   tiles with one multi-word carry add, `x | (P & !(P + x))` (the carry
+///   clears a run from the seed up to its first blocked tile), and
+///   leftward by the same add on bit-reversed words taken in reverse order;
+/// * between rows, a tile joins when it is passable and a vertical
+///   neighbour is reached. Only rows next to a row that grew are filled
+///   again, in alternating downward and upward sweeps.
+///
+/// ```
+/// use tiscc_grid::path::{tiles_connected, FloodScratch};
+///
+/// // 2 × 3 grid: row 0 passable everywhere but (0, 1); row 1 all open.
+/// let mut scratch = FloodScratch::default();
+/// assert!(tiles_connected(2, 3, &[0b101, 0b111], &[(0, 0)], &[(0, 2)], &mut scratch));
+/// // Closing (1, 1) cuts the only detour.
+/// assert!(!tiles_connected(2, 3, &[0b101, 0b101], &[(0, 0)], &[(0, 2)], &mut scratch));
+/// ```
+pub fn tiles_connected(
+    rows: usize,
+    cols: usize,
+    passable: &[u64],
+    sources: &[(usize, usize)],
+    goals: &[(usize, usize)],
+    scratch: &mut FloodScratch,
+) -> bool {
+    let words = row_words(cols);
+    assert_eq!(passable.len(), rows * words, "passable mask must cover the {rows}x{cols} grid");
+    let bit = |t: (usize, usize)| (t.0 < rows && t.1 < cols).then(|| tile_bit(cols, t));
+    let reached = |reach: &[u64], t| bit(t).is_some_and(|(i, b)| reach[i] & b != 0);
+    let FloodScratch { reach, pending } = scratch;
+    reach.clear();
+    reach.resize(rows * words, 0);
+    pending.clear();
+    pending.resize(rows, false);
+    // A row is pending until filled; a filled row stays closed until a
+    // vertical neighbour grows, so the seed rows and their neighbours are
+    // the only rows that start open.
+    let mark = |pending: &mut [bool], r: usize| {
+        pending[r.saturating_sub(1)..(r + 2).min(rows)].fill(true);
+    };
+    for &s in sources {
+        if let Some((i, b)) = bit(s).filter(|&(i, b)| passable[i] & b != 0) {
+            reach[i] |= b;
+            mark(pending, s.0);
+        }
+    }
+    if goals.iter().any(|&g| reached(reach, g)) {
+        return true;
+    }
+    loop {
+        let mut filled = false;
+        for r in (0..rows).chain((0..rows).rev()) {
+            if !std::mem::take(&mut pending[r]) {
+                continue;
+            }
+            filled = true;
+            if fill_row(r, rows, words, passable, reach) {
+                mark(pending, r);
+                pending[r] = false;
+                if goals.iter().any(|&g| g.0 == r && reached(reach, g)) {
+                    return true;
+                }
+            }
+        }
+        if !filled {
+            return false;
+        }
+    }
+}
+
+/// Grows row `r` of `reach` by one vertical step from its neighbour rows
+/// and then a full horizontal flood in both directions; returns whether
+/// the row gained a tile. Every reached bit stays inside `passable`.
+fn fill_row(r: usize, rows: usize, words: usize, passable: &[u64], reach: &mut [u64]) -> bool {
+    let row = r * words;
+    let mut changed = false;
+    let mut carry = false;
+    for k in 0..words {
+        let (i, p) = (row + k, passable[row + k]);
+        let mut x = reach[i];
+        if r > 0 {
+            x |= p & reach[i - words];
+        }
+        if r + 1 < rows {
+            x |= p & reach[i + words];
+        }
+        if x == 0 && !carry {
+            continue;
+        }
+        let (sum, c1) = p.overflowing_add(x);
+        let (sum, c2) = sum.overflowing_add(u64::from(carry));
+        carry = c1 | c2;
+        x |= p & !sum;
+        changed |= x != reach[i];
+        reach[i] = x;
+    }
+    carry = false;
+    for k in (0..words).rev() {
+        let i = row + k;
+        if reach[i] == 0 && !carry {
+            continue;
+        }
+        let (p, x) = (passable[i].reverse_bits(), reach[i].reverse_bits());
+        let (sum, c1) = p.overflowing_add(x);
+        let (sum, c2) = sum.overflowing_add(u64::from(carry));
+        carry = c1 | c2;
+        let x = (x | p & !sum).reverse_bits();
+        changed |= x != reach[i];
+        reach[i] = x;
+    }
+    changed
 }
 
 #[cfg(test)]

@@ -43,12 +43,17 @@
 use std::fmt;
 
 use tiscc_core::instruction::Instruction;
-use tiscc_grid::Layout;
+use tiscc_grid::{row_words, tile_bit, Layout};
 
 use crate::ir::{LogicalProgram, ProgramInstruction, QubitRef};
 
 /// The tile coordinate `(row, col)` of one logical patch or ancilla tile.
 pub type Tile = (usize, usize);
+
+/// The most tiles a placement grid may have (a 4096 × 4096 grid). The
+/// scheduler keeps dense per-tile state, so a larger request is refused
+/// with [`PlacementError::GridTooLarge`] instead of exhausting memory.
+pub const MAX_GRID_TILES: usize = 1 << 24;
 
 /// How logical patches are arranged on the tile grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -160,6 +165,15 @@ pub enum PlacementError {
         /// The placement strategy.
         strategy: LayoutStrategy,
     },
+    /// The grid has more than `cap` tiles (or `rows × cols` overflows).
+    GridTooLarge {
+        /// Requested grid rows.
+        rows: usize,
+        /// Requested grid columns.
+        cols: usize,
+        /// The tile-count limit, [`MAX_GRID_TILES`].
+        cap: usize,
+    },
 }
 
 impl fmt::Display for PlacementError {
@@ -175,6 +189,10 @@ impl fmt::Display for PlacementError {
                  but the program declares {qubits} logical qubit(s); use a larger --grid",
                 strategy.name()
             ),
+            PlacementError::GridTooLarge { rows, cols, cap } => write!(
+                f,
+                "a {rows}x{cols} tile grid exceeds the {cap}-tile limit; use a smaller --grid"
+            ),
         }
     }
 }
@@ -188,7 +206,9 @@ pub struct Placement {
     tile_rows: usize,
     tile_cols: usize,
     strategy: LayoutStrategy,
-    occupied: Vec<bool>,
+    /// Row-major bitmask of the tiles not hosting a patch, laid out as in
+    /// [`tiscc_grid::row_words`] (padding bits 0).
+    free: Vec<u64>,
 }
 
 impl Placement {
@@ -204,8 +224,8 @@ impl Placement {
     ///
     /// Data slots are assigned in declaration order; the slot enumeration
     /// order is part of each strategy's contract (see the module docs).
-    /// Fails when an explicit grid is too small for the program or has a
-    /// zero dimension.
+    /// Fails when an explicit grid is too small for the program, has a
+    /// zero dimension, or exceeds [`MAX_GRID_TILES`] tiles.
     pub fn allocate_with(
         program: &LogicalProgram,
         spec: &LayoutSpec,
@@ -225,39 +245,53 @@ impl Placement {
                 LayoutStrategy::Checkerboard => (2, (2 * n).max(1)),
             },
         };
-        let slots: Vec<Tile> = match spec.strategy {
+        if rows.checked_mul(cols).is_none_or(|tiles| tiles > MAX_GRID_TILES) {
+            return Err(PlacementError::GridTooLarge { rows, cols, cap: MAX_GRID_TILES });
+        }
+        // Data slots in the strategy's enumeration order, drawn lazily:
+        // only the first `n` are ever materialised.
+        let (capacity, slots): (usize, Box<dyn Iterator<Item = Tile>>) = match spec.strategy {
             // The single-lane 1D contract: data on row 0 only, and the grid
             // must actually include the lane row beneath it.
             LayoutStrategy::SingleLane => {
-                if rows < 2 {
-                    Vec::new()
-                } else {
-                    (0..cols).map(|c| (0, c)).collect()
-                }
+                let cols = if rows < 2 { 0 } else { cols };
+                (cols, Box::new((0..cols).map(|c| (0, c))))
             }
-            LayoutStrategy::RowMajor => {
-                (0..rows).step_by(2).flat_map(|r| (0..cols).map(move |c| (r, c))).collect()
-            }
-            LayoutStrategy::Checkerboard => (0..rows)
-                .flat_map(|r| (0..cols).map(move |c| (r, c)))
-                .filter(|(r, c)| (r + c) % 2 == 0)
-                .collect(),
+            LayoutStrategy::RowMajor => (
+                rows.div_ceil(2) * cols,
+                Box::new((0..rows).step_by(2).flat_map(move |r| (0..cols).map(move |c| (r, c)))),
+            ),
+            // Even-parity tiles: the first of each row is column `r % 2`.
+            LayoutStrategy::Checkerboard => (
+                (rows * cols).div_ceil(2),
+                Box::new(
+                    (0..rows).flat_map(move |r| (r % 2..cols).step_by(2).map(move |c| (r, c))),
+                ),
+            ),
         };
-        if slots.len() < n {
+        if capacity < n {
             return Err(PlacementError::GridTooSmall {
                 qubits: n,
-                capacity: slots.len(),
+                capacity,
                 rows,
                 cols,
                 strategy: spec.strategy,
             });
         }
-        let tiles: Vec<Tile> = slots.into_iter().take(n).collect();
-        let mut occupied = vec![false; rows * cols];
-        for &(r, c) in &tiles {
-            occupied[r * cols + c] = true;
+        let tiles: Vec<Tile> = slots.take(n).collect();
+        let words = row_words(cols);
+        let mut free = vec![0u64; rows * words];
+        for r in 0..rows {
+            free[r * words..(r + 1) * words].fill(!0);
+            if cols % 64 != 0 {
+                free[(r + 1) * words - 1] = (1u64 << (cols % 64)) - 1;
+            }
         }
-        Ok(Placement { tiles, tile_rows: rows, tile_cols: cols, strategy: spec.strategy, occupied })
+        for &tile in &tiles {
+            let (i, b) = tile_bit(cols, tile);
+            free[i] &= !b;
+        }
+        Ok(Placement { tiles, tile_rows: rows, tile_cols: cols, strategy: spec.strategy, free })
     }
 
     /// The placement strategy this floorplan was allocated under.
@@ -305,8 +339,16 @@ impl Placement {
 
     /// True if `tile` hosts a logical patch.
     pub fn is_occupied(&self, tile: Tile) -> bool {
-        let (r, c) = tile;
-        r < self.tile_rows && c < self.tile_cols && self.occupied[r * self.tile_cols + c]
+        self.in_bounds(tile) && {
+            let (i, b) = tile_bit(self.tile_cols, tile);
+            self.free[i] & b == 0
+        }
+    }
+
+    /// Row-major bitmask of the ancilla tiles (those not hosting a patch),
+    /// laid out as in [`tiscc_grid::row_words`].
+    pub(crate) fn free_mask(&self) -> &[u64] {
+        &self.free
     }
 
     /// True if `tile` lies on the grid.
@@ -502,6 +544,9 @@ mod tests {
         // Every patch in a checkerboard has at least one free neighbour.
         assert!(!place.is_occupied((0, 1)));
         assert!(!place.is_occupied((1, 0)));
+        // Off-grid tiles (including wrapped subtractions) are never occupied.
+        assert!(!place.is_occupied((usize::MAX, 0)));
+        assert!(!place.is_occupied((0, 8)));
         // 2D strategies never merge directly.
         let merge = &p.instructions()[8];
         assert_eq!(merge.instruction, Instruction::MeasureZZ);

@@ -22,8 +22,9 @@
 //!   grid onto the [`tiscc_grid::Layout`] substrate,
 //! * [`route`] — congestion-aware corridor routing: BFS over the ancilla
 //!   fabric finds the merge corridor of each joint measurement, with
-//!   per-timestep [`Reservations`] so disjoint corridors execute in
-//!   parallel and conflicting ones serialise,
+//!   per-timestep bitmask [`Reservations`] so disjoint corridors execute
+//!   in parallel and conflicting ones serialise; a word-parallel flood
+//!   fill rejects congested steps without a BFS,
 //! * [`schedule`](mod@schedule) — the dependency- and congestion-aware
 //!   ASAP list scheduler: packs instructions that touch disjoint tiles
 //!   (and disjoint corridors) into the same parallel logical time step,
@@ -48,7 +49,7 @@ pub mod schedule;
 
 pub use budget::{BudgetError, ErrorModel};
 pub use ir::{LogicalProgram, ProgramError, ProgramInstruction, QubitRef};
-pub use layout2d::{LayoutSpec, LayoutStrategy, Placement, PlacementError, Tile};
+pub use layout2d::{LayoutSpec, LayoutStrategy, Placement, PlacementError, Tile, MAX_GRID_TILES};
 pub use parse::ParseError;
 pub use route::{find_corridor, Reservations, RoutingError};
 pub use schedule::{schedule, schedule_with, Schedule, ScheduleStep};

@@ -17,6 +17,11 @@
 //! that cannot find a free corridor at its ready step *stalls* to a later
 //! one (counted as [`crate::schedule::Schedule::routing_stalls`]).
 //!
+//! Most probes on a congested floorplan fail, so [`corridor_avoiding`]
+//! decides feasibility first with the word-parallel flood fill of
+//! [`tiscc_grid::tiles_connected`] on the step's passable-tile bitmask;
+//! the BFS runs once per routed merge, at its first feasible step.
+//!
 //! A merge whose operands cannot be connected even on an otherwise empty
 //! grid (every candidate corridor blocked by placed patches or the grid
 //! boundary) is a typed [`RoutingError`] — the program is unroutable
@@ -25,11 +30,11 @@
 //! [`LayoutStrategy::RowMajor`]: crate::layout2d::LayoutStrategy::RowMajor
 //! [`LayoutStrategy::Checkerboard`]: crate::layout2d::LayoutStrategy::Checkerboard
 
-use std::collections::HashSet;
+use std::cell::RefCell;
 use std::fmt;
 
 use tiscc_core::instruction::Instruction;
-use tiscc_grid::shortest_tile_path;
+use tiscc_grid::{shortest_tile_path, tile_bit, tiles_connected, FloodScratch};
 
 use crate::ir::{LogicalProgram, QubitRef};
 use crate::layout2d::{Placement, Tile};
@@ -82,84 +87,146 @@ impl std::error::Error for RoutingError {}
 /// Per-timestep corridor reservations: which tiles are already claimed by
 /// merges scheduled into each logical time step.
 ///
-/// The table grows on demand; steps never probed are implicitly free.
+/// Each step stores only the touched words of a row-major tile bitmask
+/// over the `rows × cols` grid, as sorted `(word index, bits)` pairs, so
+/// memory grows with the reserved tiles rather than with depth × grid
+/// size. The table grows on demand; steps never probed are implicitly
+/// free. It also owns the scratch masks [`corridor_avoiding`] reuses
+/// across probes.
 ///
 /// ```
 /// use tiscc_program::route::Reservations;
 ///
-/// let mut res = Reservations::new();
+/// let mut res = Reservations::new(3, 2);
 /// res.reserve(2, [(1, 0), (1, 1)]);
 /// assert!(!res.is_free(2, (1, 1)));
 /// assert!(res.is_free(1, (1, 1)), "reservations are per-step");
 /// assert!(res.is_free(3, (1, 1)));
+/// assert_eq!(res.reserved_at(2), 2);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Reservations {
-    steps: Vec<HashSet<Tile>>,
+    rows: usize,
+    cols: usize,
+    steps: Vec<Vec<(usize, u64)>>,
+    scratch: RefCell<Scratch>,
+}
+
+/// Reused per-probe masks: the step's passable tiles and the flood fill's
+/// reached set.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    passable: Vec<u64>,
+    flood: FloodScratch,
 }
 
 impl Reservations {
-    /// An empty reservation table.
-    pub fn new() -> Self {
-        Reservations::default()
+    /// An empty reservation table over a `rows × cols` tile grid.
+    pub fn new(rows: usize, cols: usize) -> Self {
+        Reservations { rows, cols, steps: Vec::new(), scratch: RefCell::default() }
+    }
+
+    /// The bitmask word index and bit of an in-bounds `tile`.
+    fn bit(&self, tile: Tile) -> Option<(usize, u64)> {
+        (tile.0 < self.rows && tile.1 < self.cols).then(|| tile_bit(self.cols, tile))
     }
 
     /// True if `tile` is unreserved at `step`.
     pub fn is_free(&self, step: usize, tile: Tile) -> bool {
-        self.steps.get(step).is_none_or(|s| !s.contains(&tile))
+        let (Some(words), Some((i, b))) = (self.steps.get(step), self.bit(tile)) else {
+            return true;
+        };
+        words.binary_search_by_key(&i, |&(w, _)| w).map_or(true, |k| words[k].1 & b == 0)
     }
 
     /// Reserves `tiles` at `step`.
+    ///
+    /// # Panics
+    ///
+    /// If a tile lies off the grid.
     pub fn reserve(&mut self, step: usize, tiles: impl IntoIterator<Item = Tile>) {
         if self.steps.len() <= step {
-            self.steps.resize_with(step + 1, HashSet::new);
+            self.steps.resize_with(step + 1, Vec::new);
         }
-        self.steps[step].extend(tiles);
+        for tile in tiles {
+            let (i, b) = self.bit(tile).unwrap_or_else(|| {
+                panic!("tile {tile:?} lies off the {}x{} grid", self.rows, self.cols)
+            });
+            let words = &mut self.steps[step];
+            match words.binary_search_by_key(&i, |&(w, _)| w) {
+                Ok(k) => words[k].1 |= b,
+                Err(k) => words.insert(k, (i, b)),
+            }
+        }
     }
 
     /// Number of tiles reserved at `step`.
     pub fn reserved_at(&self, step: usize) -> usize {
-        self.steps.get(step).map_or(0, |s| s.len())
+        self.steps
+            .get(step)
+            .map_or(0, |words| words.iter().map(|&(_, bits)| bits.count_ones() as usize).sum())
     }
 }
 
 /// The free (in-bounds, unoccupied) orthogonal neighbour tiles of `tile`,
 /// in the same up-left-right-down order [`shortest_tile_path`] expands in
 /// (wrapped-subtraction values fall outside the grid and are dropped by
-/// the bounds check).
-fn free_neighbors(placement: &Placement, tile: Tile) -> Vec<Tile> {
+/// the bounds check), written to the front of `out`.
+fn free_neighbors<'a>(placement: &Placement, tile: Tile, out: &'a mut [Tile; 4]) -> &'a [Tile] {
     let (r, c) = tile;
-    [(r.wrapping_sub(1), c), (r, c.wrapping_sub(1)), (r, c + 1), (r + 1, c)]
-        .into_iter()
-        .filter(|&t| placement.in_bounds(t) && !placement.is_occupied(t))
-        .collect()
+    let mut n = 0;
+    for t in [(r.wrapping_sub(1), c), (r, c.wrapping_sub(1)), (r, c + 1), (r + 1, c)] {
+        if placement.in_bounds(t) && !placement.is_occupied(t) {
+            out[n] = t;
+            n += 1;
+        }
+    }
+    &out[..n]
 }
 
 /// Finds the shortest ancilla corridor connecting the patches of `a` and
-/// `b` on `placement`, avoiding tiles for which `blocked` returns `true`
-/// (on top of the always-avoided placed patches). Returns the corridor
-/// tiles in order from the tile touching `a` to the tile touching `b`, or
-/// `None` when no corridor is currently free.
+/// `b` on `placement` at logical time step `step`, avoiding the tiles
+/// `reserved` holds for that step (on top of the always-avoided placed
+/// patches). Returns the corridor tiles in order from the tile touching
+/// `a` to the tile touching `b`, or `None` when no corridor is currently
+/// free.
+///
+/// The step's passable tiles (free and unreserved) are built as a
+/// bitmask in scratch owned by `reserved`, and the exact bit-parallel
+/// [`tiles_connected`] check rejects an infeasible step in a few word
+/// operations; [`shortest_tile_path`] runs only once a corridor is known
+/// to exist.
 pub fn corridor_avoiding(
     placement: &Placement,
     a: QubitRef,
     b: QubitRef,
-    blocked: &dyn Fn(Tile) -> bool,
+    step: usize,
+    reserved: &Reservations,
 ) -> Option<Vec<Tile>> {
-    let a_tile = placement.data_tile(a);
-    let b_tile = placement.data_tile(b);
-    let sources = free_neighbors(placement, a_tile);
-    let goals: HashSet<Tile> = free_neighbors(placement, b_tile).into_iter().collect();
-    if sources.is_empty() || goals.is_empty() {
+    let (rows, cols) = (placement.tile_rows(), placement.tile_cols());
+    assert_eq!((reserved.rows, reserved.cols), (rows, cols), "reservations sized for another grid");
+    let (mut source_buf, mut goal_buf) = ([(0, 0); 4], [(0, 0); 4]);
+    let sources = free_neighbors(placement, placement.data_tile(a), &mut source_buf);
+    let goals = free_neighbors(placement, placement.data_tile(b), &mut goal_buf);
+    // A corridor needs an unreserved tile at both ends.
+    let open = |&t: &Tile| reserved.is_free(step, t);
+    if !sources.iter().any(open) || !goals.iter().any(open) {
         return None;
     }
-    shortest_tile_path(
-        placement.tile_rows(),
-        placement.tile_cols(),
-        &sources,
-        &|t| goals.contains(&t),
-        &|t| !placement.is_occupied(t) && !blocked(t),
-    )
+    let mut scratch = reserved.scratch.borrow_mut();
+    let Scratch { passable, flood } = &mut *scratch;
+    passable.clear();
+    passable.extend_from_slice(placement.free_mask());
+    for &(i, bits) in reserved.steps.get(step).into_iter().flatten() {
+        passable[i] &= !bits;
+    }
+    if !tiles_connected(rows, cols, passable, sources, goals, flood) {
+        return None;
+    }
+    shortest_tile_path(rows, cols, sources, &|t| goals.contains(&t), &|t| {
+        let (i, b) = tile_bit(cols, t);
+        passable[i] & b != 0
+    })
 }
 
 /// Finds the shortest ancilla corridor connecting the patches of `a` and
@@ -186,7 +253,8 @@ pub fn find_corridor(
     a: QubitRef,
     b: QubitRef,
 ) -> Result<Vec<Tile>, RoutingError> {
-    corridor_avoiding(placement, a, b, &|_| false).ok_or_else(|| RoutingError {
+    let idle = Reservations::new(placement.tile_rows(), placement.tile_cols());
+    corridor_avoiding(placement, a, b, 0, &idle).ok_or_else(|| RoutingError {
         instruction: None,
         a: program.qubit_name(a).to_string(),
         a_tile: placement.data_tile(a),
@@ -234,11 +302,10 @@ mod tests {
         assert_eq!(free, vec![(1, 0), (1, 1), (1, 2)]);
         // Reserving q1's only access tile makes the merge unroutable *now*
         // (a stall), though it stays statically routable.
-        let mut res = Reservations::new();
+        let mut res = Reservations::new(2, 4);
         res.reserve(0, [(1, 1)]);
-        assert!(
-            corridor_avoiding(&place, QubitRef(0), QubitRef(2), &|t| !res.is_free(0, t)).is_none()
-        );
+        assert!(corridor_avoiding(&place, QubitRef(0), QubitRef(2), 0, &res).is_none());
+        assert_eq!(corridor_avoiding(&place, QubitRef(0), QubitRef(2), 1, &res), Some(free));
         assert!(find_corridor(&place, &p, QubitRef(0), QubitRef(2)).is_ok());
     }
 

@@ -21,7 +21,12 @@
 //!   already reserved in that step ([`Reservations`]); if none is free the
 //!   merge *stalls* to the next step (counted in
 //!   [`Schedule::routing_stalls`]), and if no corridor exists even on an
-//!   idle grid the program is unroutable ([`RoutingError`]).
+//!   idle grid the program is unroutable ([`RoutingError`]). Stalled
+//!   steps are rejected by a bitmask flood fill, so the corridor BFS runs
+//!   once per routed merge.
+//!
+//! Both schedulers keep per-tile state in dense tables indexed by
+//! `r * cols + c`.
 //!
 //! A step's duration in *logical time steps* is the maximum over its
 //! members (paper Table 1 accounting): a step holding only zero-step
@@ -31,8 +36,6 @@
 //!
 //! [`RowMajor`]: crate::layout2d::LayoutStrategy::RowMajor
 //! [`Checkerboard`]: crate::layout2d::LayoutStrategy::Checkerboard
-
-use std::collections::HashMap;
 
 use tiscc_telemetry::Span;
 
@@ -136,6 +139,13 @@ pub fn schedule_with(
     Ok(sched)
 }
 
+/// The row-major index `r * cols + c` of a tile: the key of the
+/// schedulers' dense per-tile `next_free` tables.
+fn tile_index(placement: &Placement) -> impl Fn(Tile) -> usize {
+    let cols = placement.tile_cols();
+    move |(r, c)| r * cols + c
+}
+
 /// Joint measurements sharing a step with at least one other joint
 /// measurement, summed over steps.
 fn parallel_merges(program: &LogicalProgram, steps: &[ScheduleStep]) -> usize {
@@ -160,34 +170,31 @@ fn parallel_merges(program: &LogicalProgram, steps: &[ScheduleStep]) -> usize {
 /// single-lane floorplan: an instruction starts at the earliest step at
 /// which every tile of its static footprint is free.
 fn schedule_single_lane(program: &LogicalProgram, placement: &Placement) -> Schedule {
-    let mut next_free: HashMap<Tile, usize> = HashMap::new();
+    let index = tile_index(placement);
+    let mut next_free = vec![0usize; placement.total_tiles()];
     let mut steps: Vec<ScheduleStep> = Vec::new();
     let mut corridors: Vec<Option<Vec<Tile>>> = Vec::with_capacity(program.len());
     let mut routing_stalls = 0usize;
     for (idx, pi) in program.instructions().iter().enumerate() {
-        let footprint = placement.footprint(pi);
-        let start =
-            footprint.iter().map(|t| next_free.get(t).copied().unwrap_or(0)).max().unwrap_or(0);
+        // The static footprint is the operand data tiles plus the lane
+        // span, which is also the merge's recorded corridor.
+        let data = || pi.qubits.iter().map(|&q| index(placement.data_tile(q)));
+        let lane = placement.lane_span(pi);
+        let ready = data().map(|i| next_free[i]).max().unwrap_or(0);
+        let start = lane.iter().map(|&t| next_free[index(t)]).fold(ready, usize::max);
         // The congestion metric: how much later the lane let the merge run
         // than its operands alone would have.
-        let ready = pi
-            .qubits
-            .iter()
-            .map(|&q| next_free.get(&placement.data_tile(q)).copied().unwrap_or(0))
-            .max()
-            .unwrap_or(0);
         routing_stalls += start - ready;
-        let lane = placement.lane_span(pi);
-        corridors.push(if lane.is_empty() { None } else { Some(lane) });
         if start == steps.len() {
             steps.push(ScheduleStep { instructions: Vec::new(), logical_time_steps: 0 });
         }
         let step = &mut steps[start];
         step.instructions.push(idx);
         step.logical_time_steps = step.logical_time_steps.max(pi.instruction.logical_time_steps());
-        for t in footprint {
-            next_free.insert(t, start + 1);
+        for i in data().chain(lane.iter().map(|&t| index(t))) {
+            next_free[i] = start + 1;
         }
+        corridors.push(if lane.is_empty() { None } else { Some(lane) });
     }
     Schedule { steps, logical_time_steps: 0, routing_stalls, parallel_merges: 0, corridors }
 }
@@ -195,25 +202,26 @@ fn schedule_single_lane(program: &LogicalProgram, placement: &Placement) -> Sche
 /// The congestion-aware scheduler for 2D floorplans: merges claim a BFS
 /// corridor of ancilla tiles for the duration of their step, reserved in
 /// a per-step [`Reservations`] table so disjoint corridors share a step
-/// and conflicting ones serialise.
+/// and conflicting ones serialise. [`corridor_avoiding`] rejects each
+/// stalled step without a BFS.
 fn schedule_routed(
     program: &LogicalProgram,
     placement: &Placement,
 ) -> Result<Schedule, RoutingError> {
-    let mut next_free: HashMap<Tile, usize> = HashMap::new();
-    let mut reserved = Reservations::new();
+    let index = tile_index(placement);
+    let mut next_free = vec![0usize; placement.total_tiles()];
+    let mut reserved = Reservations::new(placement.tile_rows(), placement.tile_cols());
     let mut steps: Vec<ScheduleStep> = Vec::new();
     let mut corridors: Vec<Option<Vec<Tile>>> = Vec::with_capacity(program.len());
     let mut routing_stalls = 0usize;
     for (idx, pi) in program.instructions().iter().enumerate() {
-        let data: Vec<Tile> = pi.qubits.iter().map(|&q| placement.data_tile(q)).collect();
-        let ready = data.iter().map(|t| next_free.get(t).copied().unwrap_or(0)).max().unwrap_or(0);
+        let data = || pi.qubits.iter().map(|&q| index(placement.data_tile(q)));
+        let ready = data().map(|i| next_free[i]).max().unwrap_or(0);
         let (start, corridor) = if pi.qubits.len() == 2 {
             let (a, b) = (pi.qubits[0], pi.qubits[1]);
             let mut s = ready;
             loop {
-                let path = corridor_avoiding(placement, a, b, &|t| !reserved.is_free(s, t));
-                match path {
+                match corridor_avoiding(placement, a, b, s, &reserved) {
                     Some(path) => break (s, Some(path)),
                     // A step with no reservations is an idle grid: failing
                     // there means no corridor exists under this floorplan.
@@ -249,8 +257,8 @@ fn schedule_routed(
         if let Some(corridor) = &corridor {
             reserved.reserve(start, corridor.iter().copied());
         }
-        for t in data {
-            next_free.insert(t, start + 1);
+        for i in data() {
+            next_free[i] = start + 1;
         }
         corridors.push(corridor);
     }
