@@ -71,9 +71,9 @@ fn bench(c: &mut Criterion) {
 
     // The analytic estimate mode. Capture is one physical compile at
     // dt = ANALYTIC_DT_CAP (so its cost tracks `templated/*` at small dt);
-    // derive replays the captured round arithmetically for a target dt
-    // without touching the scheduler or router, so it is linear in dt with
-    // a much smaller constant than compiling. `derive/idle/d9` uses the
+    // derive replays the captured round with the pricing kernel for a
+    // target dt without touching the scheduler or router, so it is linear
+    // in dt at a few ns per logical op. `derive/idle/d9` uses the
     // same dt = d = 9 as `templated/idle/d9` to make the two directly
     // comparable.
     group.bench_function("analytic/capture/idle/d5", |b| {
@@ -88,6 +88,15 @@ fn bench(c: &mut Criterion) {
         .expect("idle captures analytically");
     group.bench_function("analytic/derive/idle/d9", |b| {
         b.iter(|| captured.derive(9).expect("dt=9 is derivable"))
+    });
+    // The dominant warm cost of a large analytic estimate: the joint
+    // measurement at d = dt = 25 replays ~1.4M logical ops per derive, so
+    // this entry reads directly as ns per logical op of the pricing kernel.
+    let captured = AnalyticArtifact::capture(Instruction::MeasureZZ, 25, 25, HardwareSpec::h1())
+        .unwrap()
+        .expect("measure_zz captures analytically");
+    group.bench_function("analytic/derive/measure_zz/d25", |b| {
+        b.iter(|| captured.derive(25).expect("dt=25 is derivable"))
     });
 
     // Whole-pipeline analytic estimates on generated workloads at

@@ -19,11 +19,9 @@ use tiscc_core::instruction::{
     apply_instruction, apply_two_tile_instruction, Instruction, InstructionReport,
 };
 use tiscc_core::CoreError;
-use tiscc_grid::Layout;
-use tiscc_hw::rounds::replay_round;
 use tiscc_hw::{
-    batch_ops, batch_rounds, Circuit, CompiledRounds, HardwareModel, HardwareSpec, OpStream,
-    OpView, ResourceReport, RoundBatchStats, TimedOp, UnknownProfile,
+    batch_ops, batch_rounds, Circuit, CompactRound, CompiledRounds, Epilogue, HardwareModel,
+    HardwareSpec, PricedRounds, ResourceReport, RoundBatchStats, StartFrom, UnknownProfile,
 };
 
 use crate::sweep::{CompileCache, SweepKey};
@@ -39,11 +37,13 @@ pub enum EstimateMode {
     #[default]
     Compiled,
     /// Capture **one** syndrome round per `(instruction, dx, dz, profile)`
-    /// cell and derive the resources of any requested `dt` by closed-form
-    /// arithmetic over the captured [`CompiledRounds`] — no scheduling, no
-    /// routing, no materialization. Instructions whose round structure
-    /// cannot be proven derivable fall back to [`EstimateMode::Compiled`]
-    /// transparently (the numbers are identical either way).
+    /// cell and derive the resources of any requested `dt` by an exact
+    /// replay of the captured round through the pricing kernel — no
+    /// scheduling, no routing, no materialization. The replay is
+    /// O(dt · |round|) at a few ns per logical op, not a closed form.
+    /// Instructions whose round structure cannot be proven derivable fall
+    /// back to [`EstimateMode::Compiled`] transparently (the numbers are
+    /// identical either way).
     Analytic,
 }
 
@@ -192,25 +192,6 @@ impl CompileArtifact {
 /// and equally derivable) and the capture reports itself non-derivable.
 pub const ANALYTIC_DT_CAP: usize = 4;
 
-/// How a captured epilogue operation's start time arises, so it can be
-/// recomputed for any number of round occurrences.
-///
-/// After the analytic replication of a round sequence the model's barrier
-/// sits at the final round's makespan and every busy time is at or before
-/// it, so an epilogue op can only start at that barrier or at the end of an
-/// earlier epilogue op — both recomputable from the derived final barrier by
-/// the same addition chain the scheduler performs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum EpiPred {
-    /// The op starts at the barrier after the final round occurrence.
-    Barrier,
-    /// The op starts at the end of epilogue op `i` (an earlier one).
-    Chain(usize),
-    /// The op starts at the end of epilogue op `i` plus the junction
-    /// recovery window (it waited out op `i`'s recool time).
-    ChainRecovery(usize),
-}
-
 /// Junction-stall counts of a capture split by circuit segment, so the
 /// total for any `dt` is `prologue + repeats × round + epilogue` — every
 /// round occurrence replays the representative round's schedule (and thus
@@ -222,10 +203,12 @@ struct SegmentStalls {
     epilogue: usize,
 }
 
-/// One analytic capture: the compiled shape of an instruction at
-/// [`ANALYTIC_DT_CAP`] rounds, plus enough structure (epilogue predecessor
+/// One analytic capture: the priced shape of an instruction compiled at
+/// [`ANALYTIC_DT_CAP`] rounds, plus enough structure (epilogue start
 /// chains) to derive the [`ResourceReport`] of **any** supported `dt` by
-/// arithmetic alone. Produced by [`AnalyticArtifact::capture`]; shared per
+/// an exact replay. It holds the compact pricing form
+/// ([`PricedRounds`]), not the captured ops or measurement records.
+/// Produced by [`AnalyticArtifact::capture`]; shared per
 /// `(instruction, dx, dz, profile)` cell via
 /// [`Compiler::analytic_artifact`].
 #[derive(Clone, Debug)]
@@ -234,16 +217,19 @@ pub struct AnalyticArtifact {
     request: CompileRequest,
     /// Compiler-side accounting (dt-independent by construction).
     report: InstructionReport,
-    /// The captured periodic circuit.
-    rounds: CompiledRounds,
+    /// The captured periodic circuit, reduced to its pricing state.
+    priced: PricedRounds,
+    /// Template occurrences of the capture (0: no periodic part — then
+    /// every derived `dt` returns the capture verbatim).
+    repeats: usize,
+    /// Measurement records of the capture, and per round occurrence.
+    measurements: usize,
+    meas_per_round: usize,
     /// Measured resources of the capture itself (`dt == ANALYTIC_DT_CAP`).
     resources: ResourceReport,
-    /// The grid layout the capture was compiled on.
-    layout: Layout,
-    /// Epilogue start-time provenance (empty when the capture has no
-    /// periodic part — then every derived `dt` returns the capture
-    /// verbatim).
-    epi_preds: Vec<EpiPred>,
+    /// The epilogue, re-timed from the barrier after the last occurrence
+    /// along its recorded start chains.
+    epilogue: CompactRound,
     /// Junction stalls of the capture, split by segment for scaling.
     stalls: SegmentStalls,
     /// SIMD batching statistics of the capture, split by segment.
@@ -288,12 +274,11 @@ impl AnalyticArtifact {
         };
         let resources =
             ResourceReport::from_stream_with_spec(&rounds, hw.grid().layout(), hw.spec());
-        let layout = hw.grid().layout().clone();
         let circuit = hw.circuit();
         let flags = hw.stall_flags();
         let count = |r: std::ops::Range<usize>| flags[r].iter().filter(|&&stalled| stalled).count();
         let spans: Vec<_> = circuit.spans().iter().filter(|s| s.op_end > before).collect();
-        let (epi_preds, stalls) = match spans.as_slice() {
+        let (epi_starts, stalls) = match spans.as_slice() {
             [] => (
                 Vec::new(),
                 SegmentStalls { prologue: count(before..flags.len()), ..Default::default() },
@@ -330,14 +315,14 @@ impl AnalyticArtifact {
                     // The recovery comparison replays the scheduler's own
                     // `end + recovery` addition, so the match is bit-exact.
                     let pred = if start == barrier {
-                        EpiPred::Barrier
+                        StartFrom::Barrier
                     } else if let Some(i) = ends.iter().rposition(|&e| e == start) {
-                        EpiPred::Chain(i)
+                        StartFrom::End(i)
                     } else if let Some(i) = (recovery > 0.0)
                         .then(|| ends.iter().rposition(|&e| e + recovery == start))
                         .flatten()
                     {
-                        EpiPred::ChainRecovery(i)
+                        StartFrom::EndPlusRecovery(i)
                     } else {
                         return Ok(None);
                     };
@@ -348,13 +333,21 @@ impl AnalyticArtifact {
             }
             _ => return Ok(None),
         };
+        // (A span-free capture has an empty epilogue and no starts.)
+        let epilogue = CompactRound::from_starts(
+            rounds.epilogue.ops(),
+            epi_starts,
+            rounds.template.recovery_us,
+        );
         let artifact = AnalyticArtifact {
+            priced: PricedRounds::new(&rounds, &request.spec),
+            repeats: rounds.repeats,
+            measurements: rounds.measurements.len(),
+            meas_per_round: rounds.template.meas_per_round,
             request,
             report,
-            rounds,
             resources,
-            layout,
-            epi_preds,
+            epilogue,
             stalls,
             batch,
         };
@@ -380,8 +373,7 @@ impl AnalyticArtifact {
     /// segmented prologue/template/epilogue batching. Those dts fall back
     /// to [`EstimateMode::Compiled`] and are counted.
     fn derived_repeats(&self, dt: usize) -> Option<usize> {
-        let repeats =
-            (self.rounds.repeats + dt).checked_sub(ANALYTIC_DT_CAP).filter(|&r| r >= 1)?;
+        let repeats = (self.repeats + dt).checked_sub(ANALYTIC_DT_CAP).filter(|&r| r >= 1)?;
         if self.request.spec.simd_width > 1 && repeats < 2 {
             return None;
         }
@@ -389,10 +381,11 @@ impl AnalyticArtifact {
     }
 
     /// Derives the [`ResourceReport`] of this instruction at `dt` rounds
-    /// per logical time-step, by arithmetic over the captured round — no
-    /// scheduling, routing, or materialization. Returns `None` when `dt` is
-    /// out of the derivable range (`dt == 0`, or `dt < 2` for an
-    /// instruction with a periodic part).
+    /// per logical time-step by replaying the captured round and epilogue
+    /// chains — no scheduling, routing, or materialization. The cost is an
+    /// exact O(dt · |round|) replay at a few ns per op, not a closed form.
+    /// Returns `None` when `dt` is out of the derivable range (`dt == 0`,
+    /// or `dt < 2` for an instruction with a periodic part).
     ///
     /// Durations reproduce the compiled schedule exactly for profiles whose
     /// native durations are dyadic (every preset except `projected`'s
@@ -402,23 +395,16 @@ impl AnalyticArtifact {
         if dt == 0 {
             return None;
         }
-        if self.rounds.repeats == 0 {
+        if self.repeats == 0 {
             // No periodic part: the instruction runs no dt-dependent rounds
             // and its resources are the same at every dt.
             return Some(self.resources.clone());
         }
         let repeats = self.derived_repeats(dt)?;
-        let grown = repeats as isize - self.rounds.repeats as isize;
-        let measurements = self.rounds.measurements.len() as isize
-            + grown * self.rounds.template.meas_per_round as isize;
+        let grown = repeats as isize - self.repeats as isize;
+        let measurements = self.measurements as isize + grown * self.meas_per_round as isize;
         let measurements = usize::try_from(measurements).ok()?;
-        let stream = DerivedStream {
-            rounds: &self.rounds,
-            repeats,
-            epilogue: self.derived_epilogue(repeats),
-            measurements,
-        };
-        Some(ResourceReport::from_stream_with_spec(&stream, &self.layout, &self.request.spec))
+        Some(self.priced.price(repeats, Epilogue::Chained(&self.epilogue), measurements))
     }
 
     /// [`AnalyticArtifact::derive`] packaged as a resource-table row,
@@ -444,7 +430,7 @@ impl AnalyticArtifact {
         if dt == 0 {
             return None;
         }
-        if self.rounds.repeats == 0 {
+        if self.repeats == 0 {
             return Some(CompileStats {
                 junction_stalls: self.stalls.prologue + self.stalls.epilogue,
                 batched_pulses: self.batch.total_batched_pulses(0),
@@ -457,88 +443,6 @@ impl AnalyticArtifact {
                 + self.stalls.epilogue,
             batched_pulses: self.batch.total_batched_pulses(repeats),
         })
-    }
-
-    /// Rebuilds the epilogue for `repeats` round occurrences: replays the
-    /// round chain to the final barrier, then re-derives each epilogue op's
-    /// start from its recorded provenance — exactly the addition chain the
-    /// scheduler performs, so times match a real compile bit-for-bit.
-    fn derived_epilogue(&self, repeats: usize) -> Circuit {
-        let t = &self.rounds.template;
-        let mut barrier = t.ops.iter().map(TimedOp::end_us).fold(t.base_us, f64::max);
-        let (mut starts, mut ends) = (Vec::new(), Vec::new());
-        for _ in 1..repeats {
-            barrier =
-                replay_round(&t.ops, &t.preds, barrier, t.recovery_us, &mut starts, &mut ends);
-        }
-        let mut ops = Vec::with_capacity(self.epi_preds.len());
-        let mut abs_ends: Vec<f64> = Vec::with_capacity(self.epi_preds.len());
-        for (op, pred) in self.rounds.epilogue.ops().iter().zip(&self.epi_preds) {
-            let abs_start = match *pred {
-                EpiPred::Barrier => barrier,
-                EpiPred::Chain(i) => abs_ends[i],
-                EpiPred::ChainRecovery(i) => abs_ends[i] + t.recovery_us,
-            };
-            abs_ends.push(abs_start + op.duration_us);
-            let mut op = op.clone();
-            op.start_us = abs_start - self.rounds.rebase_us;
-            ops.push(op);
-        }
-        Circuit::from_ops(ops)
-    }
-}
-
-/// A captured periodic circuit re-targeted to a different occurrence count:
-/// the capture's prologue and template, `repeats` occurrences, and a
-/// re-derived epilogue. Streams exactly like the [`CompiledRounds`] a real
-/// compile at the target `dt` would produce (modulo epilogue measurement
-/// indices, which resource accounting never reads), so
-/// [`ResourceReport::from_stream_with_spec`] over it runs the identical
-/// accumulation arithmetic.
-struct DerivedStream<'a> {
-    rounds: &'a CompiledRounds,
-    repeats: usize,
-    epilogue: Circuit,
-    measurements: usize,
-}
-
-impl OpStream for DerivedStream<'_> {
-    fn for_each_op(&self, f: &mut dyn FnMut(OpView<'_>)) {
-        let t = &self.rounds.template;
-        self.rounds.prologue.for_each_op(f);
-        for op in &t.ops {
-            f(OpView {
-                op,
-                start_us: op.start_us - self.rounds.rebase_us,
-                measurement: op.measurement,
-            });
-        }
-        let mut base = t.ops.iter().map(TimedOp::end_us).fold(t.base_us, f64::max);
-        let (mut starts, mut ends) = (Vec::new(), Vec::new());
-        for r in 1..self.repeats {
-            base = replay_round(&t.ops, &t.preds, base, t.recovery_us, &mut starts, &mut ends);
-            let meas_shift = r * t.meas_per_round;
-            for (i, op) in t.ops.iter().enumerate() {
-                f(OpView {
-                    op,
-                    start_us: starts[i] - self.rounds.rebase_us,
-                    measurement: op.measurement.map(|m| m + meas_shift),
-                });
-            }
-        }
-        self.epilogue.for_each_op(f);
-    }
-
-    fn for_each_distinct_op(&self, f: &mut dyn FnMut(&TimedOp)) {
-        self.rounds.prologue.for_each_distinct_op(f);
-        for op in &self.rounds.template.ops {
-            f(op);
-        }
-        self.epilogue.for_each_distinct_op(f);
-    }
-
-    fn measurement_count(&self) -> usize {
-        self.measurements
     }
 }
 
@@ -745,9 +649,9 @@ fn compile_physical(
 /// Extracts the sub-range of `hw` starting at operation index `start_op` as
 /// a periodic [`CompiledRounds`] (re-based so the instruction starts at
 /// `t = 0`, measurement records carried over), together with its resource
-/// report under the model's profile — composed by streaming prologue,
-/// `repeats × template` and epilogue with running accumulators, so no round
-/// is ever re-materialized. Used so reports reflect an instruction alone,
+/// report under the model's profile — priced over prologue,
+/// `repeats × template` and epilogue by the replay kernel, so no round is
+/// ever re-materialized. Used so reports reflect an instruction alone,
 /// not its input preparation.
 pub(crate) fn instruction_rounds(
     hw: &HardwareModel,

@@ -28,8 +28,6 @@
 //! `--grid` and `--show-layout`) and the `program_estimate` example are
 //! thin wrappers around this module.
 
-use std::collections::HashMap;
-
 use rayon::prelude::*;
 
 use tiscc_core::instruction::Instruction;
@@ -61,7 +59,7 @@ pub struct ProgramEstimateSpec {
     /// The floorplan: placement strategy and optional tile-grid size.
     pub layout: LayoutSpec,
     /// How per-instruction resources are obtained (compiled schedules or
-    /// closed-form analytic derivation).
+    /// analytic derivation by replaying one captured round).
     pub mode: EstimateMode,
 }
 
@@ -350,50 +348,59 @@ pub fn estimate_program_with(
 
     // The distinct instruction kinds of the program: each is compiled once
     // per profile at the selected distance (the compiler cache makes
-    // repeated estimates free).
+    // repeated estimates free). `instance_kinds[i]` is instruction `i`'s
+    // position in `kinds`, and `occurrences[k]` counts kind `k`'s instances.
     let mut kinds: Vec<Instruction> = Vec::new();
-    for pi in program.instructions() {
-        if !kinds.contains(&pi.instruction) {
-            kinds.push(pi.instruction);
-        }
-    }
+    let mut slot = vec![u8::MAX; Instruction::all().len()];
+    let mut occurrences: Vec<usize> = Vec::new();
+    let instance_kinds: Vec<u8> = program
+        .instructions()
+        .iter()
+        .map(|pi| {
+            let k = &mut slot[pi.instruction as usize];
+            if *k == u8::MAX {
+                *k = kinds.len() as u8;
+                kinds.push(pi.instruction);
+                occurrences.push(0);
+            }
+            occurrences[*k as usize] += 1;
+            *k
+        })
+        .collect();
 
     let compile_span = parent.child("compile");
     let hits_before = compiler.cache().hits();
     let misses_before = compiler.cache().misses();
     let captures_before = compiler.analytic_captures();
-    let requests: Vec<(usize, CompileRequest)> = spec
+    let requests: Vec<CompileRequest> = spec
         .profiles
         .iter()
-        .enumerate()
-        .flat_map(|(pi, profile)| {
-            kinds.iter().map(move |&kind| {
-                (pi, CompileRequest::new(kind, d, d, d).with_spec(profile.clone()))
-            })
+        .flat_map(|profile| {
+            kinds
+                .iter()
+                .map(move |&kind| CompileRequest::new(kind, d, d, d).with_spec(profile.clone()))
         })
         .collect();
-    let compiled: Result<Vec<_>, CoreError> = requests
+    // Results are dense, profile-major in request order: profile `pi`'s row
+    // for kind slot `k` sits at `pi * kinds.len() + k`.
+    let results: Vec<(f64, CompileStats)> = requests
         .into_par_iter()
-        .map(|(pi, request)| {
-            compiler.estimate_row(&request, spec.mode).map(|row| {
-                (
-                    (pi, request.instruction),
-                    (row.resources.execution_time_s, compiler.stats_for(&request)),
-                )
-            })
+        .map(|request| {
+            compiler
+                .estimate_row(&request, spec.mode)
+                .map(|row| (row.resources.execution_time_s, compiler.stats_for(&request)))
         })
-        .collect();
-    let results: HashMap<(usize, Instruction), (f64, CompileStats)> =
-        compiled?.into_iter().collect();
-    let times: HashMap<(usize, Instruction), f64> =
-        results.iter().map(|(&key, &(time, _))| (key, time)).collect();
-    // Scheduling-pass observables, summed per instruction *instance* so a
-    // kind occurring k times contributes k× its compiled stats.
+        .collect::<Result<_, CoreError>>()?;
+    let profile_results = |pi: usize| &results[pi * kinds.len()..(pi + 1) * kinds.len()];
+    // Scheduling-pass observables, summed per instruction *instance*: a
+    // kind occurring n times contributes n× its compiled stats.
     let profile_stats = |pi: usize| {
-        program.instructions().iter().fold((0usize, 0usize), |(stalls, pulses), inst| {
-            let (_, stats) = results[&(pi, inst.instruction)];
-            (stalls + stats.junction_stalls, pulses + stats.batched_pulses)
-        })
+        profile_results(pi).iter().zip(&occurrences).fold(
+            (0usize, 0usize),
+            |(stalls, pulses), ((_, stats), &n)| {
+                (stalls + n * stats.junction_stalls, pulses + n * stats.batched_pulses)
+            },
+        )
     };
     let (total_stalls, total_pulses) = (0..spec.profiles.len())
         .map(profile_stats)
@@ -423,7 +430,8 @@ pub fn estimate_program_with(
         .iter()
         .enumerate()
         .map(|(pi, profile)| {
-            let duration_s = program_duration_s(program, &sched, |kind| times[&(pi, kind)]);
+            let times = profile_results(pi);
+            let duration_s = program_duration_s(&sched, |i| times[instance_kinds[i] as usize].0);
             let (junction_stalls, batched_pulses) = profile_stats(pi);
             ProfileEstimate {
                 profile: profile.name.clone(),
@@ -462,21 +470,13 @@ pub fn estimate_program_with(
 
 /// Wall-clock duration of a scheduled program: parallel steps run their
 /// member instructions concurrently, so each step costs its longest
-/// member and the program costs the sum over steps.
-fn program_duration_s(
-    program: &LogicalProgram,
-    sched: &Schedule,
-    time_of: impl Fn(Instruction) -> f64,
-) -> f64 {
+/// member and the program costs the sum over steps. `time_of` prices
+/// instruction `i` of the program.
+fn program_duration_s(sched: &Schedule, time_of: impl Fn(usize) -> f64) -> f64 {
     sched
         .steps
         .iter()
-        .map(|step| {
-            step.instructions
-                .iter()
-                .map(|&i| time_of(program.instructions()[i].instruction))
-                .fold(0.0, f64::max)
-        })
+        .map(|step| step.instructions.iter().map(|&i| time_of(i)).fold(0.0, f64::max))
         .sum()
 }
 

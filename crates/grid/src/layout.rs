@@ -113,9 +113,11 @@ impl Layout {
         self.all_sites().count()
     }
 
-    /// Total number of trapping zones (sites that are not junctions).
+    /// Total number of trapping zones (sites that are not junctions): six
+    /// per unit, in closed form, so pricing a large floorplan never walks
+    /// its sites.
     pub fn trapping_zone_count(&self) -> usize {
-        self.all_sites().filter(|&s| self.is_trapping_zone(s)).count()
+        6 * self.unit_rows as usize * self.unit_cols as usize
     }
 
     /// Physical area of the grid in square metres: every lattice line cell is
@@ -204,10 +206,12 @@ mod tests {
     #[test]
     fn each_unit_contributes_seven_sites() {
         // The repeating unit is {M, O, M, J, M, O, M}: 7 sites per unit.
-        for (r, c) in [(1, 1), (2, 3), (4, 4)] {
+        for (r, c) in [(1, 1), (2, 3), (4, 4), (3, 7)] {
             let l = Layout::new(r, c);
             assert_eq!(l.site_count(), 7 * (r * c) as usize, "{r}x{c}");
-            assert_eq!(l.trapping_zone_count(), 6 * (r * c) as usize);
+            let zones = l.all_sites().filter(|&s| l.is_trapping_zone(s)).count();
+            assert_eq!(zones, 6 * (r * c) as usize, "{r}x{c}");
+            assert_eq!(l.trapping_zone_count(), zones, "{r}x{c}");
         }
     }
 

@@ -90,20 +90,14 @@ impl OpView<'_> {
 ///
 /// Implemented by [`Circuit`] (materialized ops plus replicated-span
 /// replays) and by [`crate::rounds::CompiledRounds`] (prologue, `repeats` ×
-/// template, epilogue). Consumers — resource accounting, validity checking,
-/// the simulator — fold over the stream with running accumulators instead of
-/// walking a cloned `Vec<TimedOp>`.
+/// template, epilogue). Consumers — validity checking, the simulator,
+/// listings and materialization — fold over the stream with running
+/// accumulators instead of walking a cloned `Vec<TimedOp>`. Resource
+/// accounting prices the periodic form directly
+/// ([`crate::pricing`]).
 pub trait OpStream {
     /// Calls `f` once per logical operation, in stream (causal) order.
     fn for_each_op(&self, f: &mut dyn FnMut(OpView<'_>));
-
-    /// Calls `f` once per *distinct* operation (each replicated round's ops
-    /// once, not per occurrence). Sufficient for set-valued accounting such
-    /// as zones touched.
-    fn for_each_distinct_op(&self, f: &mut dyn FnMut(&TimedOp));
-
-    /// Total number of measurement records across every occurrence.
-    fn measurement_count(&self) -> usize;
 }
 
 /// A compiled, time-resolved hardware circuit.
@@ -322,16 +316,6 @@ impl OpStream for Circuit {
         for op in &self.ops[next..] {
             f(OpView { op, start_us: op.start_us, measurement: op.measurement });
         }
-    }
-
-    fn for_each_distinct_op(&self, f: &mut dyn FnMut(&TimedOp)) {
-        for op in &self.ops {
-            f(op);
-        }
-    }
-
-    fn measurement_count(&self) -> usize {
-        self.measurements.len()
     }
 }
 

@@ -19,7 +19,8 @@
 //!   compiles composite gates (Hadamard, CNOT) into natives following the
 //!   Quantinuum H1 constructions,
 //! * [`ResourceReport`] — the space-time resource counters of paper Sec. 3.4,
-//!   computed with running accumulators over any [`OpStream`],
+//!   priced by the closure-free [`pricing`] kernel: flat op runs plus one
+//!   fused replay pass per replicated round occurrence,
 //! * [`passes`] — the explicit pass pipeline (schedule → batch → template)
 //!   behind the model: contention-aware junction scheduling with an
 //!   explicit capacity and stall accounting, plus SIMD gate batching
@@ -39,6 +40,7 @@ pub mod label;
 pub mod model;
 pub mod ops;
 pub mod passes;
+pub mod pricing;
 pub mod resources;
 pub mod rounds;
 pub mod spec;
@@ -51,6 +53,7 @@ pub use ops::NativeOp;
 pub use passes::{
     batch_ops, batch_rounds, BatchStats, RoundBatchStats, SchedulePolicy, Scheduler, Slot,
 };
+pub use pricing::{CompactRound, Epilogue, PricedRounds, StartFrom};
 pub use resources::{RecordError, ResourceReport};
 pub use rounds::{CompiledRounds, ReplicatedSpan, RoundTemplate};
 pub use spec::{HardwareSpec, SpecFingerprint, UnknownProfile};

@@ -6,12 +6,14 @@
 //! volume, number of trapping zones, trapping-zone-seconds and *active*
 //! trapping-zone-seconds, plus native-operation counts.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use tiscc_grid::{Layout, QSite};
+use tiscc_grid::Layout;
 
-use crate::circuit::{Circuit, OpStream, OpView};
+use crate::circuit::{Circuit, TimedOp};
 use crate::ops::NativeOp;
+use crate::pricing::{CompactRound, Epilogue, Footprint, OpCounts, PricedRounds, Pricer};
+use crate::rounds::CompiledRounds;
 use crate::spec::HardwareSpec;
 
 /// Space-time resources consumed by one compiled hardware circuit.
@@ -50,79 +52,45 @@ impl ResourceReport {
     /// Computes the report for `circuit` compiled on `layout` under the
     /// given hardware profile: the physical area uses the profile's zone
     /// pitch. Time-dependent quantities are read off the circuit's schedule,
-    /// which was already laid out with the profile's durations.
+    /// which was already laid out with the profile's durations. Replicated
+    /// spans are priced by replay, never materialized, and agree bit for
+    /// bit with a walk of the flattened circuit.
     pub fn from_circuit_with_spec(circuit: &Circuit, layout: &Layout, spec: &HardwareSpec) -> Self {
-        ResourceReport::from_stream_with_spec(circuit, layout, spec)
+        debug_assert!(fits(circuit.ops(), layout));
+        let ops = circuit.ops();
+        let mut pricer = Pricer::default();
+        let mut counts = OpCounts::of(ops);
+        let mut next = 0;
+        for span in circuit.spans() {
+            let round = &ops[span.op_start..span.op_end];
+            pricer.flat(&ops[next..span.op_end], 0.0);
+            let barrier = round.iter().map(TimedOp::end_us).fold(span.base_us, f64::max);
+            let compact = CompactRound::from_round(round, &span.preds, span.recovery_us);
+            pricer.replay(&compact, barrier, span.extra, 0.0);
+            counts.add_scaled(compact.counts(), span.extra);
+            next = span.op_end;
+        }
+        pricer.flat(&ops[next..], 0.0);
+        pricer.report(&Footprint::of(&[ops], spec), &counts, circuit.measurements().len())
     }
 
-    /// Computes the report for any [`OpStream`] — a materialized circuit,
-    /// a circuit carrying replicated rounds, or a
-    /// [`CompiledRounds`](crate::rounds::CompiledRounds) — with running
-    /// accumulators over the logical op stream. Streaming a periodic
-    /// circuit costs the arithmetic of every occurrence but never clones or
-    /// materializes its operations, and the accumulation order matches a
-    /// fully materialized walk, so reports agree bit-for-bit.
+    /// Computes the report for a periodic circuit: the prologue, `repeats`
+    /// occurrences of the template and the epilogue, priced by the
+    /// [`PricedRounds`] kernel — one fused replay pass per occurrence, the
+    /// same floats as a walk of the materialized circuit.
     pub fn from_stream_with_spec(
-        stream: &(impl OpStream + ?Sized),
+        rounds: &CompiledRounds,
         layout: &Layout,
         spec: &HardwareSpec,
     ) -> Self {
-        // One pass over distinct ops for the set-valued accounting.
-        let mut zones: BTreeSet<QSite> = BTreeSet::new();
-        let mut junctions: BTreeSet<QSite> = BTreeSet::new();
-        stream.for_each_distinct_op(&mut |op| {
-            zones.extend(op.sites.iter().copied());
-            junctions.extend(op.junction);
-        });
-
-        // One pass over the logical stream for the additive accounting.
-        let mut makespan_us = 0.0f64;
-        let mut op_counts: BTreeMap<&'static str, usize> = BTreeMap::new();
-        let mut active_zone_seconds = 0.0;
-        let mut total_ops = 0usize;
-        let mut measure_ops = 0usize;
-        stream.for_each_op(&mut |v: OpView<'_>| {
-            makespan_us = makespan_us.max(v.end_us());
-            *op_counts.entry(v.op.op.mnemonic()).or_insert(0) += 1;
-            let zones_involved = v.op.sites.len() + usize::from(v.op.junction.is_some());
-            active_zone_seconds += v.op.duration_us * 1e-6 * zones_involved as f64;
-            total_ops += 1;
-            measure_ops += usize::from(v.op.op == NativeOp::MeasureZ);
-        });
-        let execution_time_s = makespan_us * 1e-6;
-
-        // Bounding box of every fine coordinate touched (zones and junctions),
-        // converted to physical area: each fine step is one zone pitch.
-        let area_m2 = {
-            let all: Vec<_> = zones.iter().copied().chain(junctions.iter().copied()).collect();
-            if all.is_empty() {
-                0.0
-            } else {
-                let rmin = all.iter().map(|s| s.row).min().unwrap();
-                let rmax = all.iter().map(|s| s.row).max().unwrap();
-                let cmin = all.iter().map(|s| s.col).min().unwrap();
-                let cmax = all.iter().map(|s| s.col).max().unwrap();
-                let height = (rmax - rmin + 1) as f64 * spec.zone_pitch_m;
-                let width = (cmax - cmin + 1) as f64 * spec.zone_pitch_m;
-                height * width
-            }
-        };
-
-        // Sanity: the circuit must fit on the layout it claims to use.
-        debug_assert!(zones.iter().all(|&z| layout.contains(z)));
-
-        ResourceReport {
-            execution_time_s,
-            area_m2,
-            spacetime_volume_s_m2: execution_time_s * area_m2,
-            trapping_zones: zones.len(),
-            junctions: junctions.len(),
-            zone_seconds: zones.len() as f64 * execution_time_s,
-            active_zone_seconds,
-            op_counts,
-            total_ops,
-            measurements: stream.measurement_count().max(measure_ops),
-        }
+        debug_assert!([rounds.prologue.ops(), &rounds.template.ops, rounds.epilogue.ops()]
+            .iter()
+            .all(|ops| fits(ops, layout)));
+        PricedRounds::new(rounds, spec).price(
+            rounds.repeats,
+            Epilogue::Stored(rounds.epilogue.ops()),
+            rounds.measurements.len(),
+        )
     }
 
     /// Serializes the report as an exact, line-oriented `key=value` record.
@@ -266,6 +234,11 @@ impl std::fmt::Display for RecordError {
 }
 
 impl std::error::Error for RecordError {}
+
+/// Sanity: a circuit must fit on the layout it claims to use.
+fn fits(ops: &[TimedOp], layout: &Layout) -> bool {
+    ops.iter().flat_map(|op| &op.sites).all(|&z| layout.contains(z))
+}
 
 #[cfg(test)]
 mod tests {

@@ -150,9 +150,10 @@ impl RoundTemplate {
 
 /// A compiled instruction in periodic form: a one-off `prologue`, a
 /// syndrome-extraction round `template` occurring `repeats` times, and a
-/// one-off `epilogue`. Produced by [`CompiledRounds::extract`]; consumed
-/// via the streaming [`OpStream`] interface (resource accounting, validity
-/// checking) or materialized back to a flat [`Circuit`] on demand.
+/// one-off `epilogue`. Produced by [`CompiledRounds::extract`]; priced by
+/// [`ResourceReport::from_stream_with_spec`](crate::ResourceReport::from_stream_with_spec),
+/// checked via the streaming [`OpStream`] interface, or materialized back
+/// to a flat [`Circuit`] on demand.
 ///
 /// Holding `repeats` rounds costs the memory of *one* round, which is what
 /// cuts sweep memory by the `dt` factor at large code distances.
@@ -324,20 +325,6 @@ impl OpStream for CompiledRounds {
             }
         }
         self.epilogue.for_each_op(f);
-    }
-
-    fn for_each_distinct_op(&self, f: &mut dyn FnMut(&TimedOp)) {
-        self.prologue.for_each_distinct_op(f);
-        if self.repeats > 0 {
-            for op in &self.template.ops {
-                f(op);
-            }
-        }
-        self.epilogue.for_each_distinct_op(f);
-    }
-
-    fn measurement_count(&self) -> usize {
-        self.measurements.len()
     }
 }
 
