@@ -31,6 +31,13 @@ fn bench(c: &mut Criterion) {
             });
         }
     }
+    // The costliest kind of the d = 19 teleport acceptance estimate: a
+    // joint measurement routes and schedules ~100k materialized ops, so
+    // this entry tracks the router and scheduler's per-op cost.
+    let request = CompileRequest::new(Instruction::MeasureZZ, 19, 19, 19);
+    group.bench_function("templated/measure_zz/d19", |b| {
+        b.iter(|| compiler.compile(&request).unwrap())
+    });
 
     // The batched and contended paths through the same front door: SIMD
     // width 4 on h1 (the batching pass does real merging) and the

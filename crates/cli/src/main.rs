@@ -43,6 +43,37 @@ use tiscc_program::{BudgetError, ErrorModel, LayoutSpec, LogicalProgram, Placeme
 use tiscc_telemetry::{trace_from_json, JsonSink, Sink, Span, Telemetry, TraceFormat};
 use tiscc_workloads::{generate, Family, GenSpec, WorkloadError};
 
+/// Writes formatted text to stdout. A reader that closed the pipe early
+/// (`tiscc … | head`) is a normal end of output: the process exits 0
+/// without a panic. Any other write error exits 1 with a message.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("tiscc: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 const USAGE: &str = "usage: tiscc <subcommand> [args]
 
 subcommands:
@@ -317,7 +348,7 @@ fn run(raw: &[String]) -> Result<(), CliError> {
         "verify" => cmd_verify(&args),
         "bench-report" => cmd_bench_report(&args),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         other => {
@@ -378,14 +409,14 @@ fn cmd_compile(args: &Args) -> Result<(), CliError> {
     };
     root.finish();
     emit_trace(&tel, fmt);
-    println!(
+    outln!(
         "{} at dx={dx} dz={dz} dt={dt} under profile '{}': {} logical time-step(s), {} tile(s)",
         instruction.name(),
         request.spec.name,
         artifact.report.logical_time_steps,
         artifact.report.tiles
     );
-    println!("{}", artifact.resources.render());
+    outln!("{}", artifact.resources.render());
     Ok(())
 }
 
@@ -424,7 +455,7 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
     let program = generate(&spec).map_err(|e| CliError::usage(e.to_string()))?;
     let text = program.to_tql();
     match args.flag("out") {
-        None | Some("") => print!("{text}"),
+        None | Some("") => out!("{text}"),
         Some(path) => std::fs::write(path, &text)
             .map_err(|e| CliError::runtime(format!("cannot write {path}: {e}")))?,
     }
@@ -518,7 +549,7 @@ fn cmd_estimate(args: &Args) -> Result<(), CliError> {
         // user sees it even when the estimate itself fails.
         let placement = Placement::allocate_with(&program, &spec.layout)
             .map_err(|e| CliError::usage(e.to_string()))?;
-        print!("{}", placement.render_ascii(&program));
+        out!("{}", placement.render_ascii(&program));
     }
 
     // Malformed-but-parseable argument values (zero budget, a physical
@@ -535,7 +566,7 @@ fn cmd_estimate(args: &Args) -> Result<(), CliError> {
         })?;
     root.finish();
     emit_trace(&tel, fmt);
-    print!("{}", estimate.render());
+    out!("{}", estimate.render());
     Ok(())
 }
 
@@ -671,7 +702,7 @@ fn cmd_frontier(args: &Args) -> Result<(), CliError> {
             eprintln!("wrote {stats_path}");
         }
     }
-    print!("{}", frontier_to_csv(&report));
+    out!("{}", frontier_to_csv(&report));
     Ok(())
 }
 
@@ -706,7 +737,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         if line.is_empty() {
             continue;
         }
-        println!("{}", handle_line(line, &state));
+        outln!("{}", handle_line(line, &state));
         use std::io::Write;
         let _ = std::io::stdout().flush();
     }
@@ -719,7 +750,7 @@ fn cmd_tables(args: &Args) -> Result<(), CliError> {
     let d = args.flag_usize("d", 3)?.max(2);
     let dt = args.flag_usize("dt", 2)?;
     let spec = args.profile()?;
-    println!("{}", tables::table5_with(&spec));
+    outln!("{}", tables::table5_with(&spec));
     let jobs: [(&str, TableJob); 3] = [
         ("Table 1: local lattice-surgery instruction set", |spec, d, dt| {
             tables::table1_rows_with(spec, &[d], dt)
@@ -730,17 +761,17 @@ fn cmd_tables(args: &Args) -> Result<(), CliError> {
     for (title, job) in jobs {
         let rows = job(&spec, d, dt)
             .map_err(|e| CliError::runtime(format!("error compiling {title}: {e}")))?;
-        println!("{}", tables::render_rows(title, &rows));
+        outln!("{}", tables::render_rows(title, &rows));
     }
     Ok(())
 }
 
 fn cmd_profiles() -> Result<(), CliError> {
-    println!("Available hardware profiles (select with --profile NAME):\n");
+    outln!("Available hardware profiles (select with --profile NAME):\n");
     for spec in HardwareSpec::presets() {
-        print!("{}", spec.render());
-        println!("  fingerprint         : {}", spec.fingerprint());
-        println!();
+        out!("{}", spec.render());
+        outln!("  fingerprint         : {}", spec.fingerprint());
+        outln!();
     }
     Ok(())
 }
@@ -841,7 +872,7 @@ fn cmd_sweep(args: &Args) -> Result<(), CliError> {
         }
     }
     if csv_path.is_none() && json_path.is_none() {
-        print!("{}", result.to_csv());
+        out!("{}", result.to_csv());
     }
     Ok(())
 }
@@ -1046,12 +1077,12 @@ fn cmd_bench_report(args: &Args) -> Result<(), CliError> {
              `<id>: median <time> over <n> sample(s)` lines)",
         ));
     }
-    println!("parsed {} benchmark measurement(s)", entries.len());
+    outln!("parsed {} benchmark measurement(s)", entries.len());
 
     if let Some(out) = args.flag("out") {
         std::fs::write(out, render_bench_json(&entries))
             .map_err(|e| CliError::runtime(format!("cannot write {out}: {e}")))?;
-        println!("wrote {out}");
+        outln!("wrote {out}");
     }
 
     if let Some(baseline_path) = args.flag("baseline") {
@@ -1069,7 +1100,7 @@ fn cmd_bench_report(args: &Args) -> Result<(), CliError> {
         }
         let regressions = bench_regressions(&baseline, &entries, tolerance);
         if regressions.is_empty() {
-            println!(
+            outln!(
                 "bench gate passed: no benchmark regressed more than {:.0}% vs {}",
                 tolerance * 100.0,
                 baseline_path
@@ -1097,7 +1128,7 @@ fn cmd_bench_report(args: &Args) -> Result<(), CliError> {
 fn cmd_verify(args: &Args) -> Result<(), CliError> {
     let seed = args.flag_usize("seed", 17)? as u64;
     let mut failures = 0usize;
-    println!("Sec. 4 verification (fiducial state preparation + Idle process map):");
+    outln!("Sec. 4 verification (fiducial state preparation + Idle process map):");
     for fiducial in Fiducial::all() {
         let mut fixture = SingleTile::new(2, 2, 1)
             .map_err(|e| CliError::runtime(format!("fixture construction failed: {e}")))?;
@@ -1112,7 +1143,7 @@ fn cmd_verify(args: &Args) -> Result<(), CliError> {
         if !ok {
             failures += 1;
         }
-        println!(
+        outln!(
             "  prepare {:?}: bloch = ({:+.1}, {:+.1}, {:+.1})  {}",
             fiducial,
             bloch.x,
@@ -1128,7 +1159,7 @@ fn cmd_verify(args: &Args) -> Result<(), CliError> {
             if !ok {
                 failures += 1;
             }
-            println!(
+            outln!(
                 "  Idle process map deviation from identity: {:.3e}  {}",
                 deviation,
                 if ok { "ok" } else { "MISMATCH" }
@@ -1140,10 +1171,10 @@ fn cmd_verify(args: &Args) -> Result<(), CliError> {
         }
     }
     if failures == 0 {
-        println!("verification passed");
+        outln!("verification passed");
         Ok(())
     } else {
-        println!("verification FAILED ({failures} check(s))");
+        outln!("verification FAILED ({failures} check(s))");
         Err(CliError { code: 1, message: String::new() })
     }
 }

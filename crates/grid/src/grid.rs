@@ -5,8 +5,6 @@
 //! ions are loaded, and enforces the hardware validity rules that no two
 //! ions occupy the same site and that ions never rest on a junction.
 
-use std::collections::HashMap;
-
 use crate::layout::Layout;
 use crate::site::{QSite, SiteKind};
 
@@ -44,23 +42,36 @@ impl std::fmt::Display for GridError {
 impl std::error::Error for GridError {}
 
 /// Owns the grid layout and the current position of every ion.
+///
+/// Both directions of the ion ↔ site map are dense tables: occupancy is
+/// indexed by [`Layout::site_index`] and positions by [`QubitId`], with
+/// sentinels for empty sites and removed ions.
 #[derive(Clone, Debug)]
 pub struct GridManager {
     layout: Layout,
-    occupancy: HashMap<QSite, QubitId>,
-    positions: HashMap<QubitId, QSite>,
-    next_id: u32,
+    // Per site index: the ion resting there, or `EMPTY`.
+    occupancy: Vec<u32>,
+    // Per qubit id: its site, or `REMOVED`. Ids are handed out in order, so
+    // this grows by one per loaded ion.
+    positions: Vec<QSite>,
+    qubit_count: usize,
 }
+
+/// Occupancy sentinel: no ion at this site.
+const EMPTY: u32 = u32::MAX;
+/// Position sentinel: the ion was removed (no layout has this site).
+const REMOVED: QSite = QSite { row: u32::MAX, col: u32::MAX };
 
 impl GridManager {
     /// Creates a manager for a grid of `unit_rows × unit_cols` repeating
     /// units with no ions loaded.
     pub fn new(unit_rows: u32, unit_cols: u32) -> Self {
+        let layout = Layout::new(unit_rows, unit_cols);
         GridManager {
-            layout: Layout::new(unit_rows, unit_cols),
-            occupancy: HashMap::new(),
-            positions: HashMap::new(),
-            next_id: 0,
+            occupancy: vec![EMPTY; layout.site_count()],
+            layout,
+            positions: Vec::new(),
+            qubit_count: 0,
         }
     }
 
@@ -71,43 +82,45 @@ impl GridManager {
 
     /// Number of ions currently on the grid.
     pub fn qubit_count(&self) -> usize {
-        self.positions.len()
+        self.qubit_count
     }
 
     /// Loads a new ion at `site` and returns its identifier.
     pub fn place_qubit(&mut self, site: QSite) -> Result<QubitId, GridError> {
-        self.check_restable(site)?;
-        if let Some(&q) = self.occupancy.get(&site) {
+        let index = self.restable_index(site)?;
+        if let Some(q) = self.occupant(index) {
             return Err(GridError::Occupied(site, q));
         }
-        let id = QubitId(self.next_id);
-        self.next_id += 1;
-        self.occupancy.insert(site, id);
-        self.positions.insert(id, site);
+        let id = QubitId(self.positions.len() as u32);
+        self.occupancy[index] = id.0;
+        self.positions.push(site);
+        self.qubit_count += 1;
         Ok(id)
     }
 
     /// Removes an ion from the grid (e.g. after a destructive measurement
     /// when the zone is recycled).
     pub fn remove_qubit(&mut self, id: QubitId) -> Result<QSite, GridError> {
-        let site = self.positions.remove(&id).ok_or(GridError::UnknownQubit(id))?;
-        self.occupancy.remove(&site);
+        let site = self.position_of(id).ok_or(GridError::UnknownQubit(id))?;
+        self.positions[id.0 as usize] = REMOVED;
+        self.set_occupant(site, EMPTY);
+        self.qubit_count -= 1;
         Ok(site)
     }
 
     /// The ion occupying `site`, if any.
     pub fn qubit_at(&self, site: QSite) -> Option<QubitId> {
-        self.occupancy.get(&site).copied()
+        self.occupant(self.layout.site_index(site)?)
     }
 
     /// The current site of ion `id`.
     pub fn position_of(&self, id: QubitId) -> Option<QSite> {
-        self.positions.get(&id).copied()
+        self.positions.get(id.0 as usize).copied().filter(|&s| s != REMOVED)
     }
 
     /// True if `site` exists, is a trapping zone and holds no ion.
     pub fn is_free(&self, site: QSite) -> bool {
-        self.layout.is_trapping_zone(site) && !self.occupancy.contains_key(&site)
+        self.layout.is_trapping_zone(site) && self.qubit_at(site).is_none()
     }
 
     /// Relocates ion `id` to the *adjacent* trapping zone `to` (a single
@@ -116,21 +129,14 @@ impl GridManager {
     /// scheduler, so the destination of any step recorded here must be a
     /// trapping zone.
     pub fn step_qubit(&mut self, id: QubitId, to: QSite) -> Result<(), GridError> {
-        let from = self.positions.get(&id).copied().ok_or(GridError::UnknownQubit(id))?;
-        self.check_restable(to)?;
-        if let Some(&other) = self.occupancy.get(&to) {
-            if other != id {
-                return Err(GridError::Occupied(to, other));
-            }
-        }
+        let from = self.position_of(id).ok_or(GridError::UnknownQubit(id))?;
+        let index = self.vacant_for(id, to)?;
         // A legal single step ends on an adjacent zone, or on a zone that is
         // two steps away through exactly one junction.
         if !self.is_step_reachable(from, to) {
             return Err(GridError::NotAdjacent(from, to));
         }
-        self.occupancy.remove(&from);
-        self.occupancy.insert(to, id);
-        self.positions.insert(id, to);
+        self.set_position(id, from, to, index);
         Ok(())
     }
 
@@ -138,32 +144,50 @@ impl GridManager {
     /// checks. Used when re-binding a logical patch after operations whose
     /// movement legality was already validated step-by-step (and in tests).
     pub fn relocate_qubit(&mut self, id: QubitId, to: QSite) -> Result<(), GridError> {
-        let from = self.positions.get(&id).copied().ok_or(GridError::UnknownQubit(id))?;
-        self.check_restable(to)?;
-        if let Some(&other) = self.occupancy.get(&to) {
-            if other != id {
-                return Err(GridError::Occupied(to, other));
-            }
-        }
-        self.occupancy.remove(&from);
-        self.occupancy.insert(to, id);
-        self.positions.insert(id, to);
+        let from = self.position_of(id).ok_or(GridError::UnknownQubit(id))?;
+        let index = self.vacant_for(id, to)?;
+        self.set_position(id, from, to, index);
         Ok(())
     }
 
     /// Snapshot of `(qubit, site)` pairs, sorted by qubit id. Used by the
     /// simulator to bind tableau qubit indices to ions.
     pub fn snapshot(&self) -> Vec<(QubitId, QSite)> {
-        let mut v: Vec<_> = self.positions.iter().map(|(&q, &s)| (q, s)).collect();
-        v.sort_by_key(|&(q, _)| q);
-        v
+        let placed = self.positions.iter().enumerate().filter(|&(_, &s)| s != REMOVED);
+        placed.map(|(q, &s)| (QubitId(q as u32), s)).collect()
     }
 
-    fn check_restable(&self, site: QSite) -> Result<(), GridError> {
+    fn occupant(&self, index: usize) -> Option<QubitId> {
+        let q = self.occupancy[index];
+        (q != EMPTY).then_some(QubitId(q))
+    }
+
+    fn set_occupant(&mut self, site: QSite, q: u32) {
+        let index = self.layout.site_index(site).expect("ion positions lie on the layout");
+        self.occupancy[index] = q;
+    }
+
+    fn set_position(&mut self, id: QubitId, from: QSite, to: QSite, to_index: usize) {
+        self.set_occupant(from, EMPTY);
+        self.occupancy[to_index] = id.0;
+        self.positions[id.0 as usize] = to;
+    }
+
+    /// The index of `site` if ion `id` may rest there: a trapping zone that
+    /// is empty or already holds `id`.
+    fn vacant_for(&self, id: QubitId, site: QSite) -> Result<usize, GridError> {
+        let index = self.restable_index(site)?;
+        match self.occupant(index) {
+            Some(other) if other != id => Err(GridError::Occupied(site, other)),
+            _ => Ok(index),
+        }
+    }
+
+    fn restable_index(&self, site: QSite) -> Result<usize, GridError> {
         match self.layout.site_kind(site) {
             None => Err(GridError::NoSuchSite(site)),
             Some(SiteKind::Junction) => Err(GridError::RestingOnJunction(site)),
-            Some(_) => Ok(()),
+            Some(_) => Ok(self.layout.site_index(site).expect("existing site")),
         }
     }
 

@@ -79,9 +79,11 @@ impl Layout {
         matches!(self.site_kind(site), Some(SiteKind::Memory) | Some(SiteKind::Operation))
     }
 
-    /// The up-to-four orthogonally adjacent sites of `site` that exist.
-    pub fn neighbors(&self, site: QSite) -> Vec<QSite> {
-        let mut out = Vec::with_capacity(4);
+    /// The up-to-four orthogonally adjacent sites of `site` that exist, in
+    /// the order up, down, left, right. The list is held inline, so
+    /// enumerating neighbours never allocates.
+    pub fn neighbors(&self, site: QSite) -> Neighbors {
+        let mut out = Neighbors { sites: [site; 4], len: 0 };
         let candidates = [
             (site.row.wrapping_sub(1), site.col),
             (site.row + 1, site.col),
@@ -94,10 +96,54 @@ impl Layout {
             }
             let s = QSite::new(r, c);
             if self.contains(s) {
-                out.push(s);
+                out.sites[out.len] = s;
+                out.len += 1;
             }
         }
         out
+    }
+
+    /// Dense index of `site` in `0..site_count()`, or `None` if the site
+    /// does not exist on this layout. Unit `(r, c)` owns the seven indices
+    /// from `7 * (r * unit_cols + c)`, in the order of the module table
+    /// (junction, horizontal arm, vertical arm), so per-site state can live
+    /// in a flat `Vec` instead of a hash map.
+    pub fn site_index(&self, site: QSite) -> Option<usize> {
+        if !self.contains(site) {
+            return None;
+        }
+        let unit = (site.row / 4) as usize * self.unit_cols as usize + (site.col / 4) as usize;
+        let offset = if site.row.is_multiple_of(4) { site.col % 4 } else { 3 + site.row % 4 };
+        Some(7 * unit + offset as usize)
+    }
+
+    /// The site with dense index `index` (inverse of [`Layout::site_index`]).
+    ///
+    /// # Panics
+    /// Panics if `index >= site_count()`.
+    pub fn site_at(&self, index: usize) -> QSite {
+        assert!(index < self.site_count(), "site index {index} out of range");
+        let (unit, offset) = (index / 7, (index % 7) as u32);
+        let cols = self.unit_cols as usize;
+        let (r, c) = ((unit / cols) as u32, (unit % cols) as u32);
+        if offset < 4 {
+            QSite::new(4 * r, 4 * c + offset)
+        } else {
+            QSite::new(4 * r + offset - 3, 4 * c)
+        }
+    }
+
+    /// Dense index of junction `site` in `0..unit_rows * unit_cols` (the
+    /// index of the unit it belongs to), or `None` if `site` is not a
+    /// junction of this layout.
+    pub fn junction_index(&self, site: QSite) -> Option<usize> {
+        (self.site_kind(site) == Some(SiteKind::Junction))
+            .then(|| (site.row / 4) as usize * self.unit_cols as usize + (site.col / 4) as usize)
+    }
+
+    /// Number of repeating units (equivalently, of junctions).
+    pub fn unit_count(&self) -> usize {
+        self.unit_rows as usize * self.unit_cols as usize
     }
 
     /// Iterator over every site of the layout, in row-major order.
@@ -108,16 +154,16 @@ impl Layout {
         })
     }
 
-    /// Total number of sites.
+    /// Total number of sites: seven per unit, in closed form.
     pub fn site_count(&self) -> usize {
-        self.all_sites().count()
+        7 * self.unit_count()
     }
 
     /// Total number of trapping zones (sites that are not junctions): six
     /// per unit, in closed form, so pricing a large floorplan never walks
     /// its sites.
     pub fn trapping_zone_count(&self) -> usize {
-        6 * self.unit_rows as usize * self.unit_cols as usize
+        6 * self.unit_count()
     }
 
     /// Physical area of the grid in square metres: every lattice line cell is
@@ -183,6 +229,31 @@ impl Layout {
     }
 }
 
+/// The up-to-four neighbours of a site ([`Layout::neighbors`]), held
+/// inline. Derefs to a slice and iterates by value.
+#[derive(Clone, Copy, Debug)]
+pub struct Neighbors {
+    sites: [QSite; 4],
+    len: usize,
+}
+
+impl std::ops::Deref for Neighbors {
+    type Target = [QSite];
+
+    fn deref(&self) -> &[QSite] {
+        &self.sites[..self.len]
+    }
+}
+
+impl IntoIterator for Neighbors {
+    type Item = QSite;
+    type IntoIter = std::iter::Take<std::array::IntoIter<QSite, 4>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.sites.into_iter().take(self.len)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,6 +280,7 @@ mod tests {
         for (r, c) in [(1, 1), (2, 3), (4, 4), (3, 7)] {
             let l = Layout::new(r, c);
             assert_eq!(l.site_count(), 7 * (r * c) as usize, "{r}x{c}");
+            assert_eq!(l.all_sites().count(), l.site_count(), "{r}x{c}");
             let zones = l.all_sites().filter(|&s| l.is_trapping_zone(s)).count();
             assert_eq!(zones, 6 * (r * c) as usize, "{r}x{c}");
             assert_eq!(l.trapping_zone_count(), zones, "{r}x{c}");
@@ -230,6 +302,25 @@ mod tests {
         // Interior-of-unit coordinates have no neighbors listed from them,
         // and are not neighbors of lattice sites.
         assert!(!l.neighbors(QSite::new(0, 1)).contains(&QSite::new(1, 1)));
+    }
+
+    #[test]
+    fn site_index_is_a_dense_bijection() {
+        for (r, c) in [(1, 1), (2, 3), (3, 7)] {
+            let l = Layout::new(r, c);
+            let mut seen = vec![false; l.site_count()];
+            for site in l.all_sites() {
+                let i = l.site_index(site).unwrap();
+                assert!(!std::mem::replace(&mut seen[i], true), "{site:?} reuses index {i}");
+                assert_eq!(l.site_at(i), site);
+                let junction = l.junction_index(site);
+                assert_eq!(junction.is_some(), l.site_kind(site) == Some(SiteKind::Junction));
+                assert!(junction.is_none_or(|j| j == i / 7 && j < l.unit_count()));
+            }
+            assert!(seen.into_iter().all(|s| s), "{r}x{c}");
+            assert_eq!(l.site_index(QSite::new(1, 1)), None);
+            assert_eq!(l.site_index(QSite::new(4 * r, 0)), None);
+        }
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //!
 //! This crate provides:
 //! * [`QSite`] / [`SiteKind`] — addresses and roles of quantum sites,
-//! * [`Layout`] — the repeating-unit geometry, adjacency and physical size,
+//! * [`Layout`] — the repeating-unit geometry, adjacency, physical size and
+//!   the dense site index behind every per-site table,
 //! * [`GridManager`] — ion occupancy tracking with collision checks,
-//! * [`path`] — shuttle/junction-hop routing between zones, and the
+//! * [`path`] — shuttle/junction-hop routing between zones (with a
+//!   reusable [`RouteScratch`]), and the
 //!   tile-grid BFS and bitmask reachability behind corridor routing.
 
 #![forbid(unsafe_code)]
@@ -23,9 +25,9 @@ pub mod path;
 pub mod site;
 
 pub use grid::{GridError, GridManager, QubitId};
-pub use layout::{Layout, ZONE_WIDTH_M};
+pub use layout::{Layout, Neighbors, ZONE_WIDTH_M};
 pub use path::{
     route, route_avoiding, route_avoiding_with, row_words, shortest_tile_path, tile_bit,
-    tiles_connected, FloodScratch, MoveStep,
+    tiles_connected, FloodScratch, MoveStep, RouteScratch,
 };
 pub use site::{QSite, SiteKind};

@@ -20,7 +20,7 @@
 //! probe many infeasible searches can reject them without a BFS.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 
 use crate::layout::Layout;
 use crate::site::{QSite, SiteKind};
@@ -71,29 +71,60 @@ impl MoveStep {
     }
 }
 
-/// All single-step moves available from `site` on `layout`.
-pub fn steps_from(layout: &Layout, site: QSite) -> Vec<MoveStep> {
-    let mut out = Vec::new();
+/// All single-step moves available from `site` on `layout`, in the order
+/// the router relaxes them: for each neighbour (up, down, left, right), a
+/// shuttle onto a zone, or a hop through a junction to each of the
+/// junction's other zones in the same order.
+pub fn steps_from(layout: &Layout, site: QSite) -> Steps {
+    let mut out = Steps { steps: [MoveStep::Shuttle { from: site, to: site }; 4], len: 0 };
+    let mut push = |step| {
+        out.steps[out.len] = step;
+        out.len += 1;
+    };
     for n in layout.neighbors(site) {
-        match layout.site_kind(n) {
-            Some(SiteKind::Junction) => {
-                for far in layout.neighbors(n) {
-                    if far != site && layout.is_trapping_zone(far) {
-                        out.push(MoveStep::JunctionHop { from: site, to: far, junction: n });
-                    }
+        if layout.site_kind(n) == Some(SiteKind::Junction) {
+            for far in layout.neighbors(n) {
+                if far != site && layout.is_trapping_zone(far) {
+                    push(MoveStep::JunctionHop { from: site, to: far, junction: n });
                 }
             }
-            Some(_) => out.push(MoveStep::Shuttle { from: site, to: n }),
-            None => {}
+        } else {
+            push(MoveStep::Shuttle { from: site, to: n });
         }
     }
     out
 }
 
+/// The moves out of one site ([`steps_from`]), held inline: a zone has at
+/// most one shuttle and three hops (or two shuttles), a junction four
+/// shuttles. Derefs to a slice and iterates by value.
+#[derive(Clone, Copy, Debug)]
+pub struct Steps {
+    steps: [MoveStep; 4],
+    len: usize,
+}
+
+impl std::ops::Deref for Steps {
+    type Target = [MoveStep];
+
+    fn deref(&self) -> &[MoveStep] {
+        &self.steps[..self.len]
+    }
+}
+
+impl IntoIterator for Steps {
+    type Item = MoveStep;
+    type IntoIter = std::iter::Take<std::array::IntoIter<MoveStep, 4>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.steps.into_iter().take(self.len)
+    }
+}
+
 /// Shortest (duration-weighted) route from `from` to `to`, ignoring other
 /// ions. Returns `None` if the sites are not connected or do not exist.
 pub fn route(layout: &Layout, from: QSite, to: QSite) -> Option<Vec<MoveStep>> {
-    route_avoiding(layout, from, to, &HashSet::new())
+    route_avoiding_with(layout, from, to, &|_| false)
 }
 
 /// Shortest route from `from` to `to` that never enters a zone in `blocked`
@@ -109,68 +140,131 @@ pub fn route_avoiding(
 }
 
 /// [`route_avoiding`] with a caller-supplied blocking predicate instead of a
-/// materialized set. The hardware scheduler routes thousands of short hops
-/// per syndrome round; querying its occupancy map directly through this
-/// predicate avoids snapshotting every ion position into a fresh `HashSet`
-/// per route, which dominated compile time at large code distances. The
-/// search order (and therefore every returned route) is identical to
-/// [`route_avoiding`] with the equivalent set.
+/// materialized set; returns the same route as [`route_avoiding`] with the
+/// equivalent set. Callers that route many times should keep a
+/// [`RouteScratch`] and call [`RouteScratch::route`], which finds the same
+/// routes without allocating.
 pub fn route_avoiding_with(
     layout: &Layout,
     from: QSite,
     to: QSite,
     blocked: &dyn Fn(QSite) -> bool,
 ) -> Option<Vec<MoveStep>> {
-    if !layout.is_trapping_zone(from) || !layout.is_trapping_zone(to) {
-        return None;
-    }
-    if from == to {
-        return Some(Vec::new());
-    }
-    if blocked(to) {
-        return None;
-    }
+    RouteScratch::default().route(layout, from, to, blocked).map(<[MoveStep]>::to_vec)
+}
 
-    let mut dist: HashMap<QSite, u64> = HashMap::new();
-    let mut prev: HashMap<QSite, MoveStep> = HashMap::new();
-    let mut heap: BinaryHeap<Reverse<(u64, QSite)>> = BinaryHeap::new();
-    dist.insert(from, 0);
-    heap.push(Reverse((0, from)));
+/// Per-site router state, valid only while `stamp` equals the scratch's
+/// current generation.
+#[derive(Clone, Copy, Debug, Default)]
+struct RouteNode {
+    stamp: u32,
+    dist: u32,
+    prev: u32,
+}
 
-    while let Some(Reverse((d, site))) = heap.pop() {
-        if site == to {
-            break;
+/// Reusable working memory for the zone router: distance and predecessor
+/// per site (dense, by [`Layout::site_index`]), the priority queue and the
+/// returned route.
+///
+/// Each search bumps a generation counter instead of clearing the per-site
+/// table, so a search touches only the sites it reaches. Keeping one
+/// scratch across searches makes routing allocation-free once its buffers
+/// have grown to the layout.
+#[derive(Clone, Debug, Default)]
+pub struct RouteScratch {
+    nodes: Vec<RouteNode>,
+    generation: u32,
+    heap: BinaryHeap<Reverse<(u64, QSite)>>,
+    path: Vec<MoveStep>,
+}
+
+impl RouteScratch {
+    /// Shortest route from `from` to `to` that never enters a zone for
+    /// which `blocked` is true (the destination itself must not be
+    /// blocked), or `None` if there is none. Same contract and same routes
+    /// as [`route_avoiding_with`].
+    ///
+    /// The search is Dijkstra's algorithm over [`steps_from`] weighted by
+    /// [`MoveStep::relative_cost`]. The queue pops the least
+    /// `(distance, site)` pair, and a site's distance and predecessor
+    /// change only on a strict improvement, so ties resolve the same way
+    /// on every run.
+    pub fn route(
+        &mut self,
+        layout: &Layout,
+        from: QSite,
+        to: QSite,
+        blocked: impl Fn(QSite) -> bool,
+    ) -> Option<&[MoveStep]> {
+        self.path.clear();
+        if !layout.is_trapping_zone(from) || !layout.is_trapping_zone(to) {
+            return None;
         }
-        if d > *dist.get(&site).unwrap_or(&u64::MAX) {
-            continue;
+        if from == to {
+            return Some(&self.path);
         }
-        for step in steps_from(layout, site) {
-            let next = step.to();
-            if next != to && blocked(next) {
+        if blocked(to) {
+            return None;
+        }
+        let index = |site: QSite| layout.site_index(site).expect("router sites lie on the layout");
+        if self.nodes.len() < layout.site_count() {
+            self.nodes.resize(layout.site_count(), RouteNode::default());
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.nodes.fill(RouteNode::default());
+            self.generation = 1;
+        }
+        let generation = self.generation;
+        let nodes = &mut self.nodes;
+        let dist = |nodes: &[RouteNode], i: usize| {
+            let node = nodes[i];
+            if node.stamp == generation {
+                u64::from(node.dist)
+            } else {
+                u64::MAX
+            }
+        };
+        let (from_i, to_i) = (index(from), index(to));
+        nodes[from_i] = RouteNode { stamp: generation, dist: 0, prev: from_i as u32 };
+        let heap = &mut self.heap;
+        heap.clear();
+        heap.push(Reverse((0, from)));
+        while let Some(Reverse((d, site))) = heap.pop() {
+            if site == to {
+                break;
+            }
+            let site_i = index(site);
+            if d > dist(nodes, site_i) {
                 continue;
             }
-            let nd = d + step.relative_cost();
-            if nd < *dist.get(&next).unwrap_or(&u64::MAX) {
-                dist.insert(next, nd);
-                prev.insert(next, step);
-                heap.push(Reverse((nd, next)));
+            for step in steps_from(layout, site) {
+                let next = step.to();
+                if next != to && blocked(next) {
+                    continue;
+                }
+                let (next_i, nd) = (index(next), d + step.relative_cost());
+                if nd < dist(nodes, next_i) {
+                    let dist = u32::try_from(nd).expect("route length fits in u32");
+                    nodes[next_i] = RouteNode { stamp: generation, dist, prev: site_i as u32 };
+                    heap.push(Reverse((nd, next)));
+                }
             }
         }
+        if nodes[to_i].stamp != generation {
+            return None;
+        }
+        let mut cur = to_i;
+        while cur != from_i {
+            let (prev, site) = (nodes[cur].prev as usize, layout.site_at(cur));
+            let step =
+                steps_from(layout, layout.site_at(prev)).into_iter().find(|s| s.to() == site);
+            self.path.push(step.expect("a recorded predecessor is one step away"));
+            cur = prev;
+        }
+        self.path.reverse();
+        Some(&self.path)
     }
-
-    if !dist.contains_key(&to) {
-        return None;
-    }
-    // Reconstruct.
-    let mut steps = Vec::new();
-    let mut cur = to;
-    while cur != from {
-        let step = prev[&cur];
-        cur = step.from();
-        steps.push(step);
-    }
-    steps.reverse();
-    Some(steps)
 }
 
 /// Shortest path over an abstract `rows × cols` tile grid by multi-source

@@ -17,10 +17,11 @@
 //! that stalled waiting for a junction slot
 //! ([`HardwareModel::junction_stalls`]).
 
-use tiscc_grid::{route_avoiding_with, GridError, GridManager, MoveStep, QSite, QubitId, SiteKind};
+use tiscc_grid::{GridError, GridManager, MoveStep, QSite, QubitId, RouteScratch, SiteKind};
 
 use crate::circuit::{Circuit, MeasurementRecord, TimedOp};
 use crate::label::Label;
+use crate::operands::Operands;
 use crate::ops::NativeOp;
 use crate::passes::{SchedulePolicy, Scheduler};
 use crate::resources::ResourceReport;
@@ -97,6 +98,8 @@ pub struct HardwareModel {
     templating: bool,
     capture: Option<CaptureState>,
     round_fallbacks: usize,
+    // Router working memory, reused by every `route_and_move`.
+    route_scratch: RouteScratch,
 }
 
 impl HardwareModel {
@@ -109,15 +112,17 @@ impl HardwareModel {
     /// A model over a fresh grid, compiling under the given hardware
     /// profile: every emitted operation takes the duration `spec` assigns it.
     pub fn with_spec(unit_rows: u32, unit_cols: u32, spec: HardwareSpec) -> Self {
+        let grid = GridManager::new(unit_rows, unit_cols);
         HardwareModel {
-            grid: GridManager::new(unit_rows, unit_cols),
+            sched: Scheduler::new(grid.layout(), spec.junction_capacity, spec.junction_recovery_us),
+            grid,
             circuit: Circuit::new(),
-            sched: Scheduler::new(spec.junction_capacity, spec.junction_recovery_us),
             stall_flags: Vec::new(),
             spec,
             templating: false,
             capture: None,
             round_fallbacks: 0,
+            route_scratch: RouteScratch::default(),
         }
     }
 
@@ -234,13 +239,13 @@ impl HardwareModel {
     fn emit(
         &mut self,
         op: NativeOp,
-        qubits: Vec<QubitId>,
-        sites: Vec<QSite>,
+        qubits: &[QubitId],
+        sites: &[QSite],
         junction: Option<QSite>,
         measurement: Option<usize>,
     ) -> f64 {
         let duration = op.duration_us(&self.spec);
-        let slot = self.sched.ready(&qubits, &sites, junction);
+        let slot = self.sched.ready(qubits, sites, junction);
         let (start, src) = (slot.start_us, slot.src);
         let end = start + duration;
         let op_idx = self.circuit.len();
@@ -257,15 +262,15 @@ impl HardwareModel {
             };
             cap.preds.push(pred);
         }
-        self.sched.occupy(&qubits, &sites, junction, end, op_idx);
+        self.sched.occupy(qubits, sites, junction, end, op_idx);
         if slot.junction_bound {
             self.sched.note_junction_delay(op_idx);
         }
         self.stall_flags.push(slot.junction_stall);
         self.circuit.push(TimedOp {
             op,
-            sites,
-            qubits,
+            sites: Operands::from_slice(sites),
+            qubits: Operands::from_slice(qubits),
             start_us: start,
             duration_us: duration,
             junction,
@@ -389,7 +394,7 @@ impl HardwareModel {
     pub fn apply_1q(&mut self, op: NativeOp, qubit: QubitId) -> Result<(), HwError> {
         debug_assert_eq!(op.arity(), 1, "apply_1q used with a two-site op");
         let site = self.position_of(qubit)?;
-        self.emit(op, vec![qubit], vec![site], None, None);
+        self.emit(op, &[qubit], &[site], None, None);
         Ok(())
     }
 
@@ -414,7 +419,7 @@ impl HardwareModel {
             start_us: 0.0,
             label: label.into(),
         });
-        let start = self.emit(NativeOp::MeasureZ, vec![qubit], vec![site], None, Some(idx));
+        let start = self.emit(NativeOp::MeasureZ, &[qubit], &[site], None, Some(idx));
         // Patch the recorded start time now that the schedule is known.
         if let Some(rec) = self.circuit.measurements().get(idx) {
             let mut rec = rec.clone();
@@ -477,7 +482,7 @@ impl HardwareModel {
         if !self.are_adjacent_zones(sa, sb) {
             return Err(HwError::NotAdjacent(sa, sb));
         }
-        self.emit(NativeOp::ZZ, vec![a, b], vec![sa, sb], None, None);
+        self.emit(NativeOp::ZZ, &[a, b], &[sa, sb], None, None);
         Ok(())
     }
 
@@ -498,25 +503,27 @@ impl HardwareModel {
     }
 
     /// Emits the transport operations for a pre-computed route and updates
-    /// ion positions step by step.
+    /// ion positions step by step. A step that departs from a site off the
+    /// grid, or hops through a site that is not one of its junctions, is
+    /// rejected with [`GridError::NoSuchSite`] before anything is emitted.
     pub fn move_along(&mut self, qubit: QubitId, steps: &[MoveStep]) -> Result<(), HwError> {
         for step in steps {
-            match *step {
-                MoveStep::Shuttle { from, to } => {
-                    self.grid.step_qubit(qubit, to)?;
-                    self.emit(NativeOp::Move, vec![qubit], vec![from, to], None, None);
+            let layout = self.grid.layout();
+            let (op, junction) = match *step {
+                MoveStep::Shuttle { .. } => (NativeOp::Move, None),
+                MoveStep::JunctionHop { junction, .. } => {
+                    if layout.site_kind(junction) != Some(SiteKind::Junction) {
+                        return Err(GridError::NoSuchSite(junction).into());
+                    }
+                    (NativeOp::JunctionMove, Some(junction))
                 }
-                MoveStep::JunctionHop { from, to, junction } => {
-                    self.grid.step_qubit(qubit, to)?;
-                    self.emit(
-                        NativeOp::JunctionMove,
-                        vec![qubit],
-                        vec![from, to],
-                        Some(junction),
-                        None,
-                    );
-                }
+            };
+            let (from, to) = (step.from(), step.to());
+            if !layout.contains(from) {
+                return Err(GridError::NoSuchSite(from).into());
             }
+            self.grid.step_qubit(qubit, to)?;
+            self.emit(op, &[qubit], &[from, to], junction, None);
         }
         Ok(())
     }
@@ -528,12 +535,17 @@ impl HardwareModel {
         if from == dest {
             return Ok(());
         }
+        // The scratch leaves the model while its route is being emitted.
+        let mut scratch = std::mem::take(&mut self.route_scratch);
         let grid = &self.grid;
-        let steps = route_avoiding_with(grid.layout(), from, dest, &|site| {
+        let moved = match scratch.route(grid.layout(), from, dest, |site| {
             grid.qubit_at(site).is_some_and(|q| q != qubit)
-        })
-        .ok_or(HwError::NoRoute(from, dest))?;
-        self.move_along(qubit, &steps)
+        }) {
+            Some(steps) => self.move_along(qubit, steps),
+            None => Err(HwError::NoRoute(from, dest)),
+        };
+        self.route_scratch = scratch;
+        moved
     }
 
     /// True if `site` is an operation or memory zone free of ions.
@@ -762,6 +774,25 @@ mod tests {
         hw.begin_round_capture();
         hw.barrier();
         assert!(hw.replicate_captured_round(1).is_none());
+    }
+
+    #[test]
+    fn move_along_rejects_steps_off_the_grid() {
+        let mut hw = HardwareModel::new(2, 2);
+        let q = hw.place_qubit(QSite::new(0, 3)).unwrap();
+        let (from, to) = (QSite::new(0, 3), QSite::new(0, 5));
+        let bogus_junction = MoveStep::JunctionHop { from, to, junction: QSite::new(0, 2) };
+        assert_eq!(
+            hw.move_along(q, &[bogus_junction]),
+            Err(HwError::Grid(GridError::NoSuchSite(QSite::new(0, 2))))
+        );
+        let off_grid = MoveStep::Shuttle { from: QSite::new(1, 1), to: QSite::new(0, 2) };
+        assert_eq!(
+            hw.move_along(q, &[off_grid]),
+            Err(HwError::Grid(GridError::NoSuchSite(QSite::new(1, 1))))
+        );
+        assert!(hw.circuit().is_empty(), "rejected steps emit nothing");
+        assert_eq!(hw.grid().position_of(q), Some(from));
     }
 
     #[test]

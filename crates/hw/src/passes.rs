@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use tiscc_grid::{QSite, QubitId};
+use tiscc_grid::{Layout, QSite, QubitId};
 
 use crate::circuit::{Circuit, TimedOp};
 use crate::ops::NativeOp;
@@ -81,42 +81,65 @@ pub struct Slot {
 /// each ion and zone, the retained occupancy windows of each junction, and
 /// the current barrier. [`Scheduler::ready`] answers "when can this op
 /// start"; [`Scheduler::occupy`] commits the op's window.
+///
+/// All state is dense: zones by [`Layout::site_index`], ions by
+/// [`QubitId`], junctions by [`Layout::junction_index`] with `capacity`
+/// window slots each, and junction-delayed ops as a bitset over op indices.
+/// Unused entries hold the `IDLE` sentinel, which never binds.
 #[derive(Clone, Debug)]
 pub struct Scheduler {
-    // Busy maps record, per resource, the end time of its last operation
+    layout: Layout,
+    // Busy tables record, per resource, the end time of its last operation
     // and that operation's index — the index is what lets a round capture
     // identify each op's critical predecessor for bit-exact replication.
-    site_busy: HashMap<QSite, (f64, usize)>,
-    qubit_busy: HashMap<QubitId, (f64, usize)>,
-    // Per junction: the `capacity` latest-ending hop windows, descending by
-    // end time. Earlier windows can never constrain a future hop (any start
-    // blocked by a dropped window is blocked by every retained one), so
-    // retaining only `capacity` of them is lossless.
-    junction_windows: HashMap<QSite, Vec<(f64, usize)>>,
-    // Op indices whose start a junction delayed — consulted to tell an
-    // isolated pairwise serialization apart from a chained (queued) stall.
-    junction_delayed: std::collections::HashSet<usize>,
+    site_busy: Vec<Busy>,
+    qubit_busy: Vec<Busy>,
+    // Per junction: `capacity` slots holding the latest-ending hop
+    // windows, descending by end time, `IDLE` past the last hop. Earlier
+    // windows can never constrain a future hop (any start blocked by a
+    // dropped window is blocked by every retained one), so retaining only
+    // `capacity` of them is lossless.
+    junction_windows: Vec<Busy>,
+    // Bit `i` set: op `i`'s start was junction-delayed — consulted to tell
+    // an isolated pairwise serialization apart from a chained (queued)
+    // stall. Grows only as far as the last delayed op.
+    junction_delayed: Vec<u64>,
     barrier_us: f64,
     capacity: usize,
     recovery_us: f64,
     policy: SchedulePolicy,
 }
 
+/// One busy entry: the end of a resource's last window and the op that
+/// holds it.
+#[derive(Clone, Copy, Debug)]
+struct Busy {
+    end_us: f64,
+    op: u32,
+}
+
+/// The entry of a resource nothing has used yet. Its end is below every
+/// start time, so the strict `end > t` tests of [`Scheduler::ready`] never
+/// pick it, exactly as for a resource with no entry at all.
+const IDLE: Busy = Busy { end_us: f64::NEG_INFINITY, op: u32::MAX };
+
 impl Scheduler {
-    /// A quiescent scheduler with the given junction capacity (clamped to
-    /// at least 1), post-hop recovery window
-    /// ([`HardwareSpec::junction_recovery_us`]) and the default
-    /// [`SchedulePolicy::Windowed`] policy. Recovery only affects the
-    /// windowed rule; the legacy oracle predates it and always releases a
-    /// junction at the hop's raw end.
-    pub fn new(junction_capacity: usize, junction_recovery_us: f64) -> Self {
+    /// A quiescent scheduler for the zones and junctions of `layout`, with
+    /// the given junction capacity (clamped to at least 1), post-hop
+    /// recovery window ([`HardwareSpec::junction_recovery_us`]) and the
+    /// default [`SchedulePolicy::Windowed`] policy. Recovery only affects
+    /// the windowed rule; the legacy oracle predates it and always releases
+    /// a junction at the hop's raw end.
+    pub fn new(layout: &Layout, junction_capacity: usize, junction_recovery_us: f64) -> Self {
+        let capacity = junction_capacity.max(1);
         Scheduler {
-            site_busy: HashMap::new(),
-            qubit_busy: HashMap::new(),
-            junction_windows: HashMap::new(),
-            junction_delayed: std::collections::HashSet::new(),
+            layout: layout.clone(),
+            site_busy: vec![IDLE; layout.site_count()],
+            qubit_busy: Vec::new(),
+            junction_windows: vec![IDLE; layout.unit_count() * capacity],
+            junction_delayed: Vec::new(),
             barrier_us: 0.0,
-            capacity: junction_capacity.max(1),
+            capacity,
             recovery_us: junction_recovery_us.max(0.0),
             policy: SchedulePolicy::default(),
         }
@@ -152,6 +175,22 @@ impl Scheduler {
         self.barrier_us
     }
 
+    fn site(&self, site: QSite) -> usize {
+        self.layout.site_index(site).expect("scheduled zones lie on the layout")
+    }
+
+    /// The retained window slots of `junction`.
+    fn windows(&self, junction: QSite) -> std::ops::Range<usize> {
+        let j =
+            self.layout.junction_index(junction).expect("scheduled junctions lie on the layout");
+        j * self.capacity..(j + 1) * self.capacity
+    }
+
+    fn is_delayed(&self, op: u32) -> bool {
+        let op = op as usize;
+        self.junction_delayed.get(op / 64).is_some_and(|w| w >> (op % 64) & 1 != 0)
+    }
+
     /// The earliest start for an op over the given resources.
     ///
     /// Resources are folded in a fixed order — barrier, ions, zones, then
@@ -161,53 +200,49 @@ impl Scheduler {
     pub fn ready(&self, qubits: &[QubitId], sites: &[QSite], junction: Option<QSite>) -> Slot {
         let mut t = self.barrier_us;
         let mut src = None;
-        let consider = |busy: Option<&(f64, usize)>, t: &mut f64, src: &mut Option<usize>| {
-            if let Some(&(end, idx)) = busy {
-                if end > *t {
-                    *t = end;
-                    *src = Some(idx);
-                }
+        let consider = |busy: Busy, t: &mut f64, src: &mut Option<usize>| {
+            if busy.end_us > *t {
+                *t = busy.end_us;
+                *src = Some(busy.op as usize);
             }
         };
         for q in qubits {
-            consider(self.qubit_busy.get(q), &mut t, &mut src);
+            let busy = self.qubit_busy.get(q.0 as usize).copied().unwrap_or(IDLE);
+            consider(busy, &mut t, &mut src);
         }
-        for s in sites {
-            consider(self.site_busy.get(s), &mut t, &mut src);
+        for &s in sites {
+            consider(self.site_busy[self.site(s)], &mut t, &mut src);
         }
         let mut junction_bound = false;
         let mut junction_stall = false;
         if let Some(j) = junction {
-            if let Some(windows) = self.junction_windows.get(&j) {
-                match self.policy {
-                    SchedulePolicy::Legacy => {
-                        // Single-slot rule: only the last hop's end matters.
-                        if let Some(&(end, idx)) = windows.first() {
-                            if end > t {
-                                t = end;
-                                src = Some(idx);
-                                junction_bound = true;
-                                junction_stall = self.junction_delayed.contains(&idx);
-                            }
-                        }
+            let windows = &self.junction_windows[self.windows(j)];
+            match self.policy {
+                SchedulePolicy::Legacy => {
+                    // Single-slot rule: only the last hop's end matters.
+                    let last = windows[0];
+                    if last.end_us > t {
+                        t = last.end_us;
+                        src = Some(last.op as usize);
+                        junction_bound = true;
+                        junction_stall = self.is_delayed(last.op);
                     }
-                    SchedulePolicy::Windowed => {
-                        // Hops whose release (end + recovery) is past t
-                        // occupy a slot each. `windows` is descending by
-                        // release, so if `capacity` of them are open the
-                        // capacity-th largest release is the first moment a
-                        // slot frees. Binding on a release with a nonzero
-                        // recovery window means the op waited past pure
-                        // transit exclusivity — a stall by definition.
-                        let open = windows.iter().take_while(|(end, _)| *end > t).count();
-                        if open >= self.capacity {
-                            let (end, idx) = windows[self.capacity - 1];
-                            t = end;
-                            src = Some(idx);
-                            junction_bound = true;
-                            junction_stall =
-                                self.recovery_us > 0.0 || self.junction_delayed.contains(&idx);
-                        }
+                }
+                SchedulePolicy::Windowed => {
+                    // Hops whose release (end + recovery) is past t occupy
+                    // a slot each. `windows` is descending by release, so
+                    // if `capacity` of them are open the capacity-th
+                    // largest release is the first moment a slot frees.
+                    // Binding on a release with a nonzero recovery window
+                    // means the op waited past pure transit exclusivity —
+                    // a stall by definition.
+                    let open = windows.iter().take_while(|w| w.end_us > t).count();
+                    if open >= self.capacity {
+                        let bound = windows[self.capacity - 1];
+                        t = bound.end_us;
+                        src = Some(bound.op as usize);
+                        junction_bound = true;
+                        junction_stall = self.recovery_us > 0.0 || self.is_delayed(bound.op);
                     }
                 }
             }
@@ -219,11 +254,19 @@ impl Scheduler {
     /// ([`Slot::junction_bound`]), so later hops blocked by its window are
     /// recognised as chained stalls ([`Slot::junction_stall`]).
     pub fn note_junction_delay(&mut self, op_idx: usize) {
-        self.junction_delayed.insert(op_idx);
+        let word = op_idx / 64;
+        if self.junction_delayed.len() <= word {
+            self.junction_delayed.resize(word + 1, 0);
+        }
+        self.junction_delayed[word] |= 1 << (op_idx % 64);
     }
 
     /// Commits op `op_idx`'s busy window `[start, end_us)` on every resource
     /// it uses.
+    ///
+    /// # Panics
+    /// Panics if `op_idx` does not fit in a `u32`, or if a site or the
+    /// junction is not on the scheduler's layout.
     pub fn occupy(
         &mut self,
         qubits: &[QubitId],
@@ -232,18 +275,26 @@ impl Scheduler {
         end_us: f64,
         op_idx: usize,
     ) {
+        let op = u32::try_from(op_idx).ok().filter(|&op| op != IDLE.op).expect("op index fits u32");
+        let busy = Busy { end_us, op };
         for q in qubits {
-            self.qubit_busy.insert(*q, (end_us, op_idx));
+            let q = q.0 as usize;
+            if self.qubit_busy.len() <= q {
+                self.qubit_busy.resize(q + 1, IDLE);
+            }
+            self.qubit_busy[q] = busy;
         }
-        for s in sites {
-            self.site_busy.insert(*s, (end_us, op_idx));
+        for &s in sites {
+            let s = self.site(s);
+            self.site_busy[s] = busy;
         }
         if let Some(j) = junction {
-            let windows = self.junction_windows.entry(j).or_default();
+            let range = self.windows(j);
+            let windows = &mut self.junction_windows[range];
             match self.policy {
                 SchedulePolicy::Legacy => {
-                    windows.clear();
-                    windows.push((end_us, op_idx));
+                    windows.fill(IDLE);
+                    windows[0] = busy;
                 }
                 SchedulePolicy::Windowed => {
                     // A slot frees only after the hop's recovery window
@@ -252,13 +303,15 @@ impl Scheduler {
                     // at recovery 0 the release is the raw end, unchanged.
                     let release =
                         if self.recovery_us > 0.0 { end_us + self.recovery_us } else { end_us };
-                    windows.push((release, op_idx));
-                    windows.sort_by(|a, b| {
-                        b.0.partial_cmp(&a.0)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.1.cmp(&b.1))
-                    });
-                    windows.truncate(self.capacity);
+                    // Insert in (release descending, op ascending) order and
+                    // drop the last slot; `IDLE` sorts after every hop.
+                    let at = windows
+                        .iter()
+                        .position(|w| w.end_us < release || (w.end_us == release && w.op > op));
+                    if let Some(at) = at {
+                        windows[at..].rotate_right(1);
+                        windows[at] = Busy { end_us: release, op };
+                    }
                 }
             }
         }
@@ -488,8 +541,8 @@ mod tests {
     fn gate(op: NativeOp, site: QSite, qubit: QubitId, start: f64, dur: f64) -> TimedOp {
         TimedOp {
             op,
-            sites: vec![site],
-            qubits: vec![qubit],
+            sites: [site].into(),
+            qubits: [qubit].into(),
             start_us: start,
             duration_us: dur,
             junction: None,
@@ -506,8 +559,9 @@ mod tests {
     #[test]
     fn windowed_capacity_one_matches_legacy_rule() {
         // Same op sequence through both policies: decisions must agree.
-        let mut a = Scheduler::new(1, 0.0);
-        let mut b = Scheduler::new(1, 0.0);
+        let layout = Layout::new(2, 2);
+        let mut a = Scheduler::new(&layout, 1, 0.0);
+        let mut b = Scheduler::new(&layout, 1, 0.0);
         b.set_policy(SchedulePolicy::Legacy);
         let j = QSite::new(0, 4);
         let hops = [
@@ -527,7 +581,7 @@ mod tests {
 
     #[test]
     fn capacity_two_admits_two_concurrent_hops() {
-        let mut s = Scheduler::new(2, 0.0);
+        let mut s = Scheduler::new(&Layout::new(2, 2), 2, 0.0);
         let j = QSite::new(0, 4);
         let decide = |s: &mut Scheduler, q: u32, idx: usize, dur: f64| {
             let slot = s.ready(&[QubitId(q)], &[], Some(j));
@@ -566,8 +620,8 @@ mod tests {
     fn transport_of_the_batched_ion_closes_its_batch() {
         let mv = TimedOp {
             op: NativeOp::Move,
-            sites: vec![QSite::new(0, 2), QSite::new(0, 3)],
-            qubits: vec![QubitId(9)],
+            sites: [QSite::new(0, 2), QSite::new(0, 3)].into(),
+            qubits: [QubitId(9)].into(),
             start_us: 0.0,
             duration_us: 5.25,
             junction: None,
@@ -587,8 +641,8 @@ mod tests {
     fn transport_of_an_unrelated_ion_leaves_batches_open() {
         let mv = TimedOp {
             op: NativeOp::Move,
-            sites: vec![QSite::new(0, 2), QSite::new(0, 3)],
-            qubits: vec![QubitId(9)],
+            sites: [QSite::new(0, 2), QSite::new(0, 3)].into(),
+            qubits: [QubitId(9)].into(),
             start_us: 0.0,
             duration_us: 5.25,
             junction: None,

@@ -410,8 +410,8 @@ mod tests {
     fn op_at(sites: Vec<QSite>, junction: Option<QSite>) -> TimedOp {
         TimedOp {
             op: NativeOp::Move,
-            sites,
-            qubits: vec![QubitId(0)],
+            sites: sites.into(),
+            qubits: [QubitId(0)].into(),
             start_us: 0.0,
             duration_us: 1.0,
             junction,

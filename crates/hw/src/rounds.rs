@@ -337,8 +337,8 @@ mod tests {
     fn op_at(start: f64, dur: f64) -> TimedOp {
         TimedOp {
             op: NativeOp::XPi2,
-            sites: vec![QSite::new(0, 1)],
-            qubits: vec![QubitId(0)],
+            sites: [QSite::new(0, 1)].into(),
+            qubits: [QubitId(0)].into(),
             start_us: start,
             duration_us: dur,
             junction: None,
