@@ -6,7 +6,7 @@
 //! growth between the parameter points.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tiscc_program::{examples, schedule, LayoutSpec, LogicalProgram, Placement};
+use tiscc_program::{examples, schedule, schedule_steps, LayoutSpec, LogicalProgram, Placement};
 use tiscc_workloads::{generate, Family, GenSpec};
 
 fn bench(c: &mut Criterion) {
@@ -63,9 +63,11 @@ fn bench(c: &mut Criterion) {
     // scaling curves PERFORMANCE.md records. The adder widths are chosen
     // so 11w − 1 lands near each target; random-clifford-t hits it
     // exactly. Each size benches the parser and the allocate + schedule
-    // pipeline separately, so a superlinear regression is attributable;
-    // the two largest random-clifford-t sizes also schedule on the row
-    // and checkerboard layouts.
+    // pipeline separately, so a superlinear regression is attributable:
+    // `gen_schedule` builds the full `Schedule` (step member lists and
+    // corridors), `gen_steps` the compact step table estimates are priced
+    // from. The two largest random-clifford-t sizes also schedule on the
+    // row and checkerboard layouts.
     let workloads = [
         GenSpec::new(Family::RippleCarryAdder).with_n(6),
         GenSpec::new(Family::RippleCarryAdder).with_n(93),
@@ -91,6 +93,16 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     let placement = Placement::allocate(program);
                     schedule(program, &placement).expect("routes")
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new(format!("gen_steps/{}", spec.family), program.len()),
+            &program,
+            |b, program| {
+                b.iter(|| {
+                    let placement = Placement::allocate(program);
+                    schedule_steps(program, &placement).expect("routes")
                 })
             },
         );

@@ -118,15 +118,17 @@ impl Instruction {
     /// lists every valid id, so it can be surfaced verbatim at a CLI
     /// boundary.
     pub fn from_id(text: &str) -> Result<Instruction, UnknownInstruction> {
-        let normalized: String = text
-            .trim()
-            .chars()
-            .map(|c| if c == ' ' || c == '-' { '_' } else { c.to_ascii_lowercase() })
-            .collect();
-        Instruction::all()
-            .iter()
-            .copied()
-            .find(|i| i.id() == normalized)
+        // Normalise into a stack buffer: every id is short ASCII, so a
+        // longer input cannot match, and non-ASCII bytes never do.
+        let trimmed = text.trim();
+        let mut buf = [0u8; 16];
+        buf.get_mut(..trimmed.len())
+            .and_then(|normalized| {
+                for (out, &b) in normalized.iter_mut().zip(trimmed.as_bytes()) {
+                    *out = if b == b' ' || b == b'-' { b'_' } else { b.to_ascii_lowercase() };
+                }
+                Instruction::all().iter().copied().find(|i| i.id().as_bytes() == &*normalized)
+            })
             .ok_or_else(|| UnknownInstruction { input: text.to_string() })
     }
 

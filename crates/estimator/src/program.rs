@@ -36,8 +36,8 @@ use tiscc_hw::HardwareSpec;
 use tiscc_program::budget::BudgetError;
 use tiscc_program::ir::ProgramError;
 use tiscc_program::{
-    schedule_with, ErrorModel, LayoutSpec, LogicalProgram, Placement, PlacementError, RoutingError,
-    Schedule,
+    schedule_steps_with, ErrorModel, LayoutSpec, LogicalProgram, Placement, PlacementError,
+    RoutingError,
 };
 use tiscc_telemetry::{Span, Telemetry};
 
@@ -338,7 +338,7 @@ pub fn estimate_program_with(
         let _place = parent.child("place");
         Placement::allocate_with(program, &spec.layout)?
     };
-    let sched = schedule_with(program, &placement, parent)?;
+    let sched = schedule_steps_with(program, &placement, parent)?;
     let patch_steps = sched.patch_steps(placement.total_tiles());
     let (d, achieved_error) = {
         let _select = parent.child("select_distance");
@@ -348,25 +348,20 @@ pub fn estimate_program_with(
 
     // The distinct instruction kinds of the program: each is compiled once
     // per profile at the selected distance (the compiler cache makes
-    // repeated estimates free). `instance_kinds[i]` is instruction `i`'s
-    // position in `kinds`, and `occurrences[k]` counts kind `k`'s instances.
+    // repeated estimates free). `slot[kind]` is the kind's position in
+    // `kinds`, and `occurrences[k]` counts kind `k`'s instances.
     let mut kinds: Vec<Instruction> = Vec::new();
-    let mut slot = vec![u8::MAX; Instruction::all().len()];
+    let mut slot = [u8::MAX; 16];
     let mut occurrences: Vec<usize> = Vec::new();
-    let instance_kinds: Vec<u8> = program
-        .instructions()
-        .iter()
-        .map(|pi| {
-            let k = &mut slot[pi.instruction as usize];
-            if *k == u8::MAX {
-                *k = kinds.len() as u8;
-                kinds.push(pi.instruction);
-                occurrences.push(0);
-            }
-            occurrences[*k as usize] += 1;
-            *k
-        })
-        .collect();
+    for pi in program.instructions() {
+        let k = &mut slot[pi.instruction as usize];
+        if *k == u8::MAX {
+            *k = kinds.len() as u8;
+            kinds.push(pi.instruction);
+            occurrences.push(0);
+        }
+        occurrences[*k as usize] += 1;
+    }
 
     let compile_span = parent.child("compile");
     let hits_before = compiler.cache().hits();
@@ -431,7 +426,7 @@ pub fn estimate_program_with(
         .enumerate()
         .map(|(pi, profile)| {
             let times = profile_results(pi);
-            let duration_s = program_duration_s(&sched, |i| times[instance_kinds[i] as usize].0);
+            let duration_s = sched.duration_s(|kind| times[slot[kind as usize] as usize].0);
             let (junction_stalls, batched_pulses) = profile_stats(pi);
             ProfileEstimate {
                 profile: profile.name.clone(),
@@ -458,26 +453,14 @@ pub fn estimate_program_with(
         grid: (placement.tile_rows(), placement.tile_cols()),
         depth: sched.depth(),
         logical_time_steps: sched.logical_time_steps,
-        max_parallelism: sched.max_parallelism(),
-        routed_merges: sched.routed_merges(),
+        max_parallelism: sched.max_parallelism,
+        routed_merges: sched.routed_merges,
         parallel_merges: sched.parallel_merges,
         routing_stalls: sched.routing_stalls,
         patch_steps,
         budget: spec.budget,
         rows,
     })
-}
-
-/// Wall-clock duration of a scheduled program: parallel steps run their
-/// member instructions concurrently, so each step costs its longest
-/// member and the program costs the sum over steps. `time_of` prices
-/// instruction `i` of the program.
-fn program_duration_s(sched: &Schedule, time_of: impl Fn(usize) -> f64) -> f64 {
-    sched
-        .steps
-        .iter()
-        .map(|step| step.instructions.iter().map(|&i| time_of(i)).fold(0.0, f64::max))
-        .sum()
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use rayon::prelude::*;
 use tiscc_core::instruction::Instruction;
 use tiscc_estimator::compiler::{CompileRequest, Compiler};
 use tiscc_estimator::sweep::SweepKey;
-use tiscc_program::{schedule_with, LayoutSpec, LogicalProgram, Placement, Schedule};
+use tiscc_program::{schedule_steps_with, LayoutSpec, LogicalProgram, Placement, StepTable};
 use tiscc_telemetry::{Span, Telemetry};
 
 use crate::cache::DiskCache;
@@ -134,7 +134,7 @@ impl FrontierReport {
 struct PlacedLayout {
     spec: LayoutSpec,
     placement: Placement,
-    sched: Schedule,
+    sched: StepTable,
     patch_steps: u64,
 }
 
@@ -179,7 +179,7 @@ pub fn run_frontier_with(
     for &layout in &norm.layouts {
         let placement = Placement::allocate_with(program, &layout)
             .map_err(|e| FrontierError::Placement(e.to_string()))?;
-        let sched = schedule_with(program, &placement, &layout_span)
+        let sched = schedule_steps_with(program, &placement, &layout_span)
             .map_err(|e| FrontierError::Placement(e.to_string()))?;
         let patch_steps = sched.patch_steps(placement.total_tiles());
         layouts.push(PlacedLayout { spec: layout, placement, sched, patch_steps });
@@ -212,7 +212,7 @@ pub fn run_frontier_with(
             let qubit_rounds = zones as u64 * placed.sched.logical_time_steps as u64 * d as u64;
             for profile in &norm.profiles {
                 let fp = profile.fingerprint();
-                let duration_s = duration_s(program, &placed.sched, |kind| {
+                let duration_s = placed.sched.duration_s(|kind| {
                     times[&SweepKey { instruction: kind, dx: d, dz: d, dt: d, spec: fp }]
                 });
                 points.push(FrontierPoint {
@@ -322,25 +322,6 @@ fn resolve_rows(
     }
     stats.analytic_captures = compiler.analytic_captures() - captures_before;
     Ok((times, stats))
-}
-
-/// Wall-clock duration of a scheduled program: each parallel step costs
-/// its longest member instruction; the program costs the sum over steps.
-fn duration_s(
-    program: &LogicalProgram,
-    sched: &Schedule,
-    time_of: impl Fn(Instruction) -> f64,
-) -> f64 {
-    sched
-        .steps
-        .iter()
-        .map(|step| {
-            step.instructions
-                .iter()
-                .map(|&i| time_of(program.instructions()[i].instruction))
-                .fold(0.0, f64::max)
-        })
-        .sum()
 }
 
 #[cfg(test)]

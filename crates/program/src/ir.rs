@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Deref;
 
 use tiscc_core::instruction::Instruction;
 
@@ -22,6 +23,59 @@ use tiscc_core::instruction::Instruction;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QubitRef(pub usize);
 
+/// The operand qubits of one program instruction, held inline: every
+/// Table 1 instruction names one or two tiles, so building, cloning and
+/// dropping an instruction allocates nothing. Derefs to a slice.
+#[derive(Clone, Copy)]
+pub struct QubitRefs {
+    len: u8,
+    refs: [QubitRef; 2],
+}
+
+impl QubitRefs {
+    /// The operands `qubits`, in order.
+    ///
+    /// # Panics
+    ///
+    /// If `qubits` holds more than two entries.
+    pub fn from_slice(qubits: &[QubitRef]) -> Self {
+        let mut refs = [QubitRef(0); 2];
+        refs[..qubits.len()].copy_from_slice(qubits);
+        QubitRefs { len: qubits.len() as u8, refs }
+    }
+}
+
+impl Deref for QubitRefs {
+    type Target = [QubitRef];
+
+    fn deref(&self) -> &[QubitRef] {
+        &self.refs[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a QubitRefs {
+    type Item = &'a QubitRef;
+    type IntoIter = std::slice::Iter<'a, QubitRef>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for QubitRefs {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for QubitRefs {}
+
+impl fmt::Debug for QubitRefs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// One instruction of a logical program: a Table 1 lattice-surgery
 /// instruction applied to one or two named logical qubits.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,7 +83,7 @@ pub struct ProgramInstruction {
     /// The lattice-surgery instruction.
     pub instruction: Instruction,
     /// The operand qubits, in order ([`Instruction::tiles`] entries).
-    pub qubits: Vec<QubitRef>,
+    pub qubits: QubitRefs,
     /// 1-based source line for programs parsed from `.tql` text (`None`
     /// for programs built through the API).
     pub line: Option<usize>,
@@ -151,7 +205,8 @@ impl LogicalProgram {
                 qubit: self.qubit_name(qubits[0]).to_string(),
             });
         }
-        self.instructions.push(ProgramInstruction { instruction, qubits: qubits.to_vec(), line });
+        let qubits = QubitRefs::from_slice(qubits);
+        self.instructions.push(ProgramInstruction { instruction, qubits, line });
         Ok(())
     }
 
@@ -276,17 +331,26 @@ impl LogicalProgram {
     /// The maximum number of simultaneously live qubits over the program.
     pub fn max_live_qubits(&self) -> usize {
         let mut live = vec![false; self.qubits.len()];
-        let mut peak = 0usize;
+        let (mut count, mut peak) = (0usize, 0usize);
         for pi in &self.instructions {
+            let q = pi.qubits[0].0;
             match pi.instruction {
                 Instruction::PrepareZ
                 | Instruction::PrepareX
                 | Instruction::InjectY
-                | Instruction::InjectT => live[pi.qubits[0].0] = true,
-                Instruction::MeasureZ | Instruction::MeasureX => live[pi.qubits[0].0] = false,
+                | Instruction::InjectT
+                    if !live[q] =>
+                {
+                    live[q] = true;
+                    count += 1;
+                    peak = peak.max(count);
+                }
+                Instruction::MeasureZ | Instruction::MeasureX if live[q] => {
+                    live[q] = false;
+                    count -= 1;
+                }
                 _ => {}
             }
-            peak = peak.max(live.iter().filter(|&&l| l).count());
         }
         peak
     }

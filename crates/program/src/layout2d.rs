@@ -365,10 +365,10 @@ impl Placement {
         if self.strategy != LayoutStrategy::SingleLane {
             return false;
         }
-        match pi.qubits.as_slice() {
+        match *pi.qubits {
             [a, b] => {
                 pi.instruction == Instruction::MeasureZZ
-                    && self.column(*a).abs_diff(self.column(*b)) == 1
+                    && self.column(a).abs_diff(self.column(b)) == 1
             }
             _ => false,
         }
@@ -396,15 +396,24 @@ impl Placement {
     /// row under every column spanned by the operands. Empty for direct
     /// merges and for 2D strategies.
     pub fn lane_span(&self, pi: &ProgramInstruction) -> Vec<Tile> {
+        match self.lane_columns(pi) {
+            Some((lo, hi)) => (lo..=hi).map(|c| (1, c)).collect(),
+            None => Vec::new(),
+        }
+    }
+
+    /// The inclusive lane-column range `(lo, hi)` of [`Placement::lane_span`]
+    /// (its tiles are `(1, lo) ..= (1, hi)`), without materialising the
+    /// tiles; `None` where the span is empty.
+    pub fn lane_columns(&self, pi: &ProgramInstruction) -> Option<(usize, usize)> {
         if self.strategy != LayoutStrategy::SingleLane || pi.qubits.len() != 2 {
-            return Vec::new();
+            return None;
         }
         if self.is_direct_merge(pi) {
-            return Vec::new();
+            return None;
         }
         let (ca, cb) = (self.column(pi.qubits[0]), self.column(pi.qubits[1]));
-        let (lo, hi) = (ca.min(cb), ca.max(cb));
-        (lo..=hi).map(|c| (1, c)).collect()
+        Some((ca.min(cb), ca.max(cb)))
     }
 
     /// The trapped-ion grid hosting this placement at code distance `d`:

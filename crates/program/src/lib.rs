@@ -28,7 +28,8 @@
 //! * [`schedule`](mod@schedule) — the dependency- and congestion-aware
 //!   ASAP list scheduler: packs instructions that touch disjoint tiles
 //!   (and disjoint corridors) into the same parallel logical time step,
-//!   reporting `routing_stalls` and `parallel_merges` per schedule,
+//!   reporting `routing_stalls` and `parallel_merges` per schedule; the
+//!   compact [`StepTable`] form is what estimates are priced from,
 //! * [`budget`] — the configurable per-step logical error model and
 //!   error-budget distance selection.
 //!
@@ -48,8 +49,11 @@ pub mod route;
 pub mod schedule;
 
 pub use budget::{BudgetError, ErrorModel};
-pub use ir::{LogicalProgram, ProgramError, ProgramInstruction, QubitRef};
+pub use ir::{LogicalProgram, ProgramError, ProgramInstruction, QubitRef, QubitRefs};
 pub use layout2d::{LayoutSpec, LayoutStrategy, Placement, PlacementError, Tile, MAX_GRID_TILES};
 pub use parse::ParseError;
 pub use route::{find_corridor, Reservations, RoutingError};
-pub use schedule::{schedule, schedule_with, Schedule, ScheduleStep};
+pub use schedule::{
+    kind_bit, schedule, schedule_steps, schedule_steps_with, schedule_with, Schedule, ScheduleStep,
+    StepSummary, StepTable,
+};

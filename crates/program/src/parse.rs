@@ -14,6 +14,21 @@
 //! of a non-empty line is either the `qubit` declaration keyword or an
 //! instruction mnemonic; remaining tokens are operand qubit names.
 //!
+//! Lines end at `\n`, `\r\n` or a lone `\r`; the final line needs no
+//! terminator, and a trailing terminator does not add an empty line. A
+//! comment runs from the first `#` of a line, even one inside a token.
+//! Tokens are separated by runs of the characters [`char::is_whitespace`]
+//! accepts: on ASCII that is tab, `\n`, `\x0B`, `\x0C`, `\r` and space
+//! (note [`u8::is_ascii_whitespace`] omits `\x0B`), and a line whose
+//! uncommented part holds any non-ASCII byte is split by
+//! [`str::split_whitespace`], so U+00A0, U+2028, U+3000 and the rest of
+//! Unicode's white space separate tokens too. Mnemonics and the `qubit`
+//! keyword match ASCII case-insensitively; qubit names are case-sensitive.
+//!
+//! The parser makes one scan over the text and allocates nothing per
+//! instruction: mnemonics are matched in a stack buffer and operands are
+//! resolved into the instruction's inline [`QubitRefs`](crate::ir::QubitRefs).
+//!
 //! Accepted mnemonics are the Table 1 instruction ids
 //! (see [`Instruction::from_id`]) plus the short program-level aliases:
 //! `prep_z`/`prep_x` (preparation), `meas_z`/`meas_x` (destructive
@@ -25,7 +40,7 @@ use std::fmt;
 use tiscc_core::instruction::Instruction;
 use tiscc_telemetry::Span;
 
-use crate::ir::{LogicalProgram, QubitRef};
+use crate::ir::{LogicalProgram, ProgramError, QubitRef};
 
 /// An error raised while parsing `.tql` text, annotated with its 1-based
 /// source line.
@@ -46,23 +61,33 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Resolves a `.tql` instruction mnemonic: a program-level alias or any id
-/// accepted by [`Instruction::from_id`].
+/// accepted by [`Instruction::from_id`], ASCII case-insensitively.
 pub fn instruction_from_mnemonic(word: &str) -> Option<Instruction> {
-    let lowered = word.to_ascii_lowercase();
-    let aliased = match lowered.as_str() {
-        "prep_z" => Some(Instruction::PrepareZ),
-        "prep_x" => Some(Instruction::PrepareX),
-        "meas_z" => Some(Instruction::MeasureZ),
-        "meas_x" => Some(Instruction::MeasureX),
-        "merge_zz" => Some(Instruction::MeasureZZ),
-        "merge_xx" => Some(Instruction::MeasureXX),
-        "x" => Some(Instruction::PauliX),
-        "y" => Some(Instruction::PauliY),
-        "z" => Some(Instruction::PauliZ),
-        "h" => Some(Instruction::Hadamard),
-        _ => None,
-    };
-    aliased.or_else(|| Instruction::from_id(&lowered).ok())
+    // Aliases are at most 8 bytes; lowercase a candidate on the stack.
+    let mut buf = [0u8; 8];
+    if let Some(lowered) = buf.get_mut(..word.len()) {
+        lowered.copy_from_slice(word.as_bytes());
+        lowered.make_ascii_lowercase();
+        let aliased = match &*lowered {
+            b"prep_z" => Some(Instruction::PrepareZ),
+            b"prep_x" => Some(Instruction::PrepareX),
+            b"meas_z" => Some(Instruction::MeasureZ),
+            b"meas_x" => Some(Instruction::MeasureX),
+            b"merge_zz" => Some(Instruction::MeasureZZ),
+            b"merge_xx" => Some(Instruction::MeasureXX),
+            b"x" => Some(Instruction::PauliX),
+            b"y" => Some(Instruction::PauliY),
+            b"z" => Some(Instruction::PauliZ),
+            b"h" => Some(Instruction::Hadamard),
+            _ => None,
+        };
+        if aliased.is_some() {
+            return aliased;
+        }
+    }
+    // `from_id` lowercases ASCII itself, so the word resolves as its
+    // lowered form would.
+    Instruction::from_id(word).ok()
 }
 
 /// The mnemonic the `.tql` renderer uses for an instruction (the inverse
@@ -80,12 +105,13 @@ pub fn mnemonic(instruction: Instruction) -> &'static str {
 }
 
 /// Splits `.tql` text into source lines, recognizing `\n`, `\r\n` and a
-/// lone `\r` as terminators. `str::lines` treats a bare `\r` (classic-Mac
-/// or mixed-origin files) as an ordinary character, which silently merges
-/// the two source lines around it — turning, e.g., `qubit a\rprep_z a`
-/// into one bogus declaration line and shifting every later error's line
-/// number. Like `str::lines`, a trailing terminator does not produce a
-/// final empty line.
+/// lone `\r` as terminators, and yields each line's uncommented part
+/// (everything before its first `#`). `str::lines` treats a bare `\r`
+/// (classic-Mac or mixed-origin files) as an ordinary character, which
+/// silently merges the two source lines around it — turning, e.g.,
+/// `qubit a\rprep_z a` into one bogus declaration line and shifting every
+/// later error's line number. Like `str::lines`, a trailing terminator
+/// does not produce a final empty line.
 fn source_lines(text: &str) -> SourceLines<'_> {
     SourceLines { rest: text }
 }
@@ -95,20 +121,76 @@ struct SourceLines<'a> {
 }
 
 impl<'a> Iterator for SourceLines<'a> {
-    type Item = &'a str;
+    type Item = Tokens<'a>;
 
-    fn next(&mut self) -> Option<&'a str> {
+    /// One byte scan finds the terminator, the comment start and whether
+    /// the uncommented part is ASCII.
+    fn next(&mut self) -> Option<Tokens<'a>> {
         if self.rest.is_empty() {
             return None;
         }
-        match self.rest.find(['\n', '\r']) {
-            None => Some(std::mem::take(&mut self.rest)),
-            Some(i) => {
-                let line = &self.rest[..i];
-                let sep = if self.rest[i..].starts_with("\r\n") { 2 } else { 1 };
-                self.rest = &self.rest[i + sep..];
-                Some(line)
+        let bytes = self.rest.as_bytes();
+        let (mut end, mut comment, mut ascii) = (bytes.len(), None, true);
+        for (i, &b) in bytes.iter().enumerate() {
+            match b {
+                b'\n' | b'\r' => {
+                    end = i;
+                    break;
+                }
+                b'#' if comment.is_none() => comment = Some(i),
+                0x80.. if comment.is_none() => ascii = false,
+                _ => {}
             }
+        }
+        let line = &self.rest[..comment.unwrap_or(end)];
+        let sep = match bytes.get(end..end + 2) {
+            Some(b"\r\n") => 2,
+            _ if end < bytes.len() => 1,
+            _ => 0,
+        };
+        self.rest = &self.rest[end + sep..];
+        Some(if ascii {
+            Tokens::Ascii { line, pos: 0 }
+        } else {
+            Tokens::Unicode(line.split_whitespace())
+        })
+    }
+}
+
+/// The ASCII bytes [`char::is_whitespace`] accepts (unlike
+/// [`u8::is_ascii_whitespace`], which omits `\x0B`).
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' | b' ')
+}
+
+/// The whitespace-separated tokens of one uncommented line.
+enum Tokens<'a> {
+    /// An ASCII line, split on [`is_space`] bytes from `pos` on.
+    Ascii { line: &'a str, pos: usize },
+    /// A line holding non-ASCII bytes, split on Unicode white space.
+    Unicode(std::str::SplitWhitespace<'a>),
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        match self {
+            Tokens::Ascii { line, pos } => {
+                let bytes = line.as_bytes();
+                let Some(start) = bytes[*pos..].iter().position(|&b| !is_space(b)) else {
+                    *pos = bytes.len();
+                    return None;
+                };
+                let start = *pos + start;
+                let end = bytes[start..]
+                    .iter()
+                    .position(|&b| is_space(b))
+                    .map_or(bytes.len(), |n| start + n);
+                *pos = end;
+                Some(&line[start..end])
+            }
+            Tokens::Unicode(words) => words.next(),
         }
     }
 }
@@ -118,14 +200,11 @@ impl LogicalProgram {
     /// end in `\n`, `\r\n` or `\r`; the final line needs no terminator.
     pub fn parse(name: impl Into<String>, text: &str) -> Result<LogicalProgram, ParseError> {
         let mut program = LogicalProgram::new(name);
-        for (idx, raw) in source_lines(text).enumerate() {
+        for (idx, mut tokens) in source_lines(text).enumerate() {
             let lineno = idx + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
+            let Some(head) = tokens.next() else {
                 continue;
-            }
-            let mut tokens = line.split_whitespace();
-            let head = tokens.next().expect("non-empty line has a first token");
+            };
             if head.eq_ignore_ascii_case("qubit") {
                 let mut declared = 0usize;
                 for qubit in tokens {
@@ -150,17 +229,30 @@ impl LogicalProgram {
                      merge_xx, merge_zz"
                 ),
             })?;
-            let operands: Result<Vec<QubitRef>, ParseError> = tokens
-                .map(|tok| {
-                    program.qubit(tok).ok_or_else(|| ParseError {
-                        line: lineno,
-                        message: format!("unknown qubit '{tok}' (declare it with 'qubit {tok}')"),
-                    })
-                })
-                .collect();
-            program
-                .push_at(instruction, &operands?, Some(lineno))
-                .map_err(|e| ParseError { line: lineno, message: e.to_string() })?;
+            // Every operand is resolved, so an unknown name is reported
+            // ahead of a wrong count, but only the first two are kept: no
+            // instruction takes more.
+            let mut operands = [QubitRef(0); 2];
+            let mut count = 0usize;
+            for tok in tokens {
+                let q = program.qubit(tok).ok_or_else(|| ParseError {
+                    line: lineno,
+                    message: format!("unknown qubit '{tok}' (declare it with 'qubit {tok}')"),
+                })?;
+                if let Some(slot) = operands.get_mut(count) {
+                    *slot = q;
+                }
+                count += 1;
+            }
+            let pushed = match operands.get(..count) {
+                Some(operands) => program.push_at(instruction, operands, Some(lineno)),
+                None => Err(ProgramError::ArityMismatch {
+                    instruction,
+                    expected: instruction.tiles(),
+                    got: count,
+                }),
+            };
+            pushed.map_err(|e| ParseError { line: lineno, message: e.to_string() })?;
         }
         program
             .validate()
@@ -210,10 +302,11 @@ impl LogicalProgram {
     }
 }
 
-fn error_line(e: &crate::ir::ProgramError) -> usize {
+fn error_line(e: &ProgramError) -> usize {
     match e {
-        crate::ir::ProgramError::NotLive { line, .. }
-        | crate::ir::ProgramError::AlreadyLive { line, .. } => line.unwrap_or(1),
+        ProgramError::NotLive { line, .. } | ProgramError::AlreadyLive { line, .. } => {
+            line.unwrap_or(1)
+        }
         _ => 1,
     }
 }

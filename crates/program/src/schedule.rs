@@ -26,7 +26,16 @@
 //!   once per routed merge.
 //!
 //! Both schedulers keep per-tile state in dense tables indexed by
-//! `r * cols + c`.
+//! `r * cols + c`; a single-lane segment is a column range of the lane
+//! row, so it is one slice of that table.
+//!
+//! Each strategy has one scheduling loop, and it always fills a compact
+//! [`StepTable`]: each instruction's step, a fixed-size [`StepSummary`]
+//! per step and the schedule's totals. [`schedule_steps`] returns just
+//! that — routed corridors are dropped once reserved and lane segments
+//! are never built — and is what estimates are priced from.
+//! [`schedule`] runs the same loop with a sink that also collects each
+//! step's members and each merge's corridor into a [`Schedule`].
 //!
 //! A step's duration in *logical time steps* is the maximum over its
 //! members (paper Table 1 accounting): a step holding only zero-step
@@ -37,9 +46,10 @@
 //! [`RowMajor`]: crate::layout2d::LayoutStrategy::RowMajor
 //! [`Checkerboard`]: crate::layout2d::LayoutStrategy::Checkerboard
 
+use tiscc_core::instruction::Instruction;
 use tiscc_telemetry::Span;
 
-use crate::ir::LogicalProgram;
+use crate::ir::{LogicalProgram, ProgramInstruction};
 use crate::layout2d::{LayoutStrategy, Placement, Tile};
 use crate::route::{corridor_avoiding, Reservations, RoutingError};
 
@@ -102,20 +112,173 @@ impl Schedule {
     }
 }
 
+/// One parallel step of a [`StepTable`]: what its members add up to,
+/// without the member list.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StepSummary {
+    /// Logical time steps this step costs: the maximum over its members.
+    pub logical_time_steps: u32,
+    /// Instructions executing in this step.
+    pub width: u32,
+    /// Joint measurements among them.
+    pub merges: u32,
+    /// The instruction kinds present: bit `k` is set when some member's
+    /// instruction has discriminant `k` (see [`kind_bit`]).
+    pub kinds: u16,
+}
+
+/// The bit of `kind` in [`StepSummary::kinds`].
+pub fn kind_bit(kind: Instruction) -> u16 {
+    1 << kind as u16
+}
+
+/// The compact result of scheduling: each instruction's step, a
+/// fixed-size summary per step, and the schedule's totals. It holds
+/// everything an estimate reads — depth, logical time steps, congestion
+/// counts and each step's most expensive member — but no per-step member
+/// lists and no corridors, so it costs a few bytes per instruction.
+/// [`schedule`] fills the same table in the same loop and returns the
+/// full [`Schedule`] instead.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct StepTable {
+    /// The step of each instruction, indexed like
+    /// [`LogicalProgram::instructions`].
+    pub step_of: Vec<u32>,
+    /// The parallel steps, in execution order.
+    pub steps: Vec<StepSummary>,
+    /// Total logical time steps: the sum over steps.
+    pub logical_time_steps: usize,
+    /// As [`Schedule::routing_stalls`].
+    pub routing_stalls: usize,
+    /// Joint measurements that needed a routing corridor or lane segment.
+    pub routed_merges: usize,
+    /// Tiles across all merge corridors and lane segments.
+    pub corridor_tiles: usize,
+    /// As [`Schedule::parallel_merges`].
+    pub parallel_merges: usize,
+    /// The widest step (most instructions packed in parallel).
+    pub max_parallelism: usize,
+}
+
+impl StepTable {
+    fn with_capacity(instructions: usize) -> Self {
+        StepTable { step_of: Vec::with_capacity(instructions), ..StepTable::default() }
+    }
+
+    /// Number of parallel steps.
+    pub fn depth(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// As [`Schedule::patch_steps`].
+    pub fn patch_steps(&self, total_tiles: usize) -> u64 {
+        total_tiles as u64 * self.logical_time_steps as u64
+    }
+
+    /// Wall-clock duration of the scheduled program: parallel steps run
+    /// their members concurrently, so each step costs its longest member
+    /// and the program costs the sum over steps. `time_of` prices one
+    /// instruction kind; it is called once for each kind the program
+    /// uses.
+    ///
+    /// A step's cost is the `f64::max` fold over the kinds it holds. On
+    /// finite, non-negative times that fold is exact and independent of
+    /// order, so it equals the fold over the step's members in program
+    /// order bit for bit, and the sum runs over steps in execution order.
+    pub fn duration_s(&self, time_of: impl Fn(Instruction) -> f64) -> f64 {
+        let present = self.steps.iter().fold(0, |kinds, step| kinds | step.kinds);
+        let mut times = [0.0; 16];
+        for &kind in Instruction::all() {
+            if present & kind_bit(kind) != 0 {
+                times[kind as usize] = time_of(kind);
+            }
+        }
+        self.steps
+            .iter()
+            .map(|step| {
+                let (mut kinds, mut longest) = (step.kinds, 0.0f64);
+                while kinds != 0 {
+                    longest = longest.max(times[kinds.trailing_zeros() as usize]);
+                    kinds &= kinds - 1;
+                }
+                longest
+            })
+            .sum()
+    }
+
+    /// Records instruction `pi` in step `step`, which is at most one past
+    /// the last step so far.
+    fn place(&mut self, step: usize, pi: &ProgramInstruction) {
+        if step == self.steps.len() {
+            self.steps.push(StepSummary::default());
+        }
+        let summary = &mut self.steps[step];
+        summary.width += 1;
+        summary.merges += u32::from(pi.qubits.len() == 2);
+        summary.kinds |= kind_bit(pi.instruction);
+        summary.logical_time_steps =
+            summary.logical_time_steps.max(pi.instruction.logical_time_steps() as u32);
+        self.step_of.push(u32::try_from(step).expect("step index fits in u32"));
+    }
+
+    /// Counts one merge corridor (or lane segment) of `tiles` tiles.
+    fn route(&mut self, tiles: usize) {
+        self.routed_merges += 1;
+        self.corridor_tiles += tiles;
+    }
+
+    /// Sums the per-step totals once every instruction is placed.
+    fn finish(mut self) -> Self {
+        for step in &self.steps {
+            self.logical_time_steps += step.logical_time_steps as usize;
+            if step.merges >= 2 {
+                self.parallel_merges += step.merges as usize;
+            }
+            self.max_parallelism = self.max_parallelism.max(step.width as usize);
+        }
+        self
+    }
+}
+
+/// Where the scheduling loop sends each placed instruction besides the
+/// [`StepTable`]: [`schedule`] collects step members and corridors into
+/// a [`Schedule`], [`schedule_steps`] keeps nothing.
+trait Sink {
+    /// Instruction `idx` runs in `step`, which is at most one past the
+    /// last step so far; `corridor` builds the tiles of its merge corridor
+    /// or lane segment (`None` when it has none).
+    fn place(&mut self, idx: usize, step: usize, corridor: impl FnOnce() -> Option<Vec<Tile>>);
+}
+
+/// The sink of [`schedule_steps`]: routed corridors are dropped and lane
+/// segments are never built.
+impl Sink for () {
+    fn place(&mut self, _: usize, _: usize, _: impl FnOnce() -> Option<Vec<Tile>>) {}
+}
+
+/// The sink of [`schedule`]: each step's members and each instruction's
+/// corridor.
+struct Members {
+    steps: Vec<ScheduleStep>,
+    corridors: Vec<Option<Vec<Tile>>>,
+}
+
+impl Sink for Members {
+    fn place(&mut self, idx: usize, step: usize, corridor: impl FnOnce() -> Option<Vec<Tile>>) {
+        if step == self.steps.len() {
+            self.steps.push(ScheduleStep { instructions: Vec::new(), logical_time_steps: 0 });
+        }
+        self.steps[step].instructions.push(idx);
+        self.corridors.push(corridor());
+    }
+}
+
 /// Schedules `program` against `placement` with ASAP list scheduling,
 /// per-tile conflict detection and — on 2D floorplans — congestion-aware
 /// corridor routing. Fails with a [`RoutingError`] when a merge cannot be
 /// routed under the floorplan at all.
 pub fn schedule(program: &LogicalProgram, placement: &Placement) -> Result<Schedule, RoutingError> {
-    let mut sched = match placement.strategy() {
-        LayoutStrategy::SingleLane => schedule_single_lane(program, placement),
-        LayoutStrategy::RowMajor | LayoutStrategy::Checkerboard => {
-            schedule_routed(program, placement)?
-        }
-    };
-    sched.logical_time_steps = sched.steps.iter().map(|s| s.logical_time_steps).sum();
-    sched.parallel_merges = parallel_merges(program, &sched.steps);
-    Ok(sched)
+    schedule_and_table(program, placement).map(|(sched, _)| sched)
 }
 
 /// [`schedule`] wrapped in a telemetry span: opens a `schedule` child
@@ -129,14 +292,78 @@ pub fn schedule_with(
     parent: &Span,
 ) -> Result<Schedule, RoutingError> {
     let span = parent.child("schedule");
-    let sched = schedule(program, placement)?;
-    span.add("schedule.routing_stalls", sched.routing_stalls as u64);
-    span.add("schedule.parallel_merges", sched.parallel_merges as u64);
-    span.add("schedule.routed_merges", sched.routed_merges() as u64);
-    let corridor_tiles: usize =
-        sched.corridors.iter().flatten().map(|corridor| corridor.len()).sum();
-    span.add("schedule.corridor_tiles", corridor_tiles as u64);
+    let (sched, table) = schedule_and_table(program, placement)?;
+    add_counters(&span, &table);
     Ok(sched)
+}
+
+/// Schedules `program` against `placement` exactly as [`schedule`] does,
+/// keeping only the [`StepTable`]: no step member lists and no corridors
+/// are built. This is what the estimator and the frontier engine price
+/// from.
+pub fn schedule_steps(
+    program: &LogicalProgram,
+    placement: &Placement,
+) -> Result<StepTable, RoutingError> {
+    schedule_into(program, placement, &mut ())
+}
+
+/// [`schedule_steps`] wrapped in the same `schedule` span and counters as
+/// [`schedule_with`].
+pub fn schedule_steps_with(
+    program: &LogicalProgram,
+    placement: &Placement,
+    parent: &Span,
+) -> Result<StepTable, RoutingError> {
+    let span = parent.child("schedule");
+    let table = schedule_steps(program, placement)?;
+    add_counters(&span, &table);
+    Ok(table)
+}
+
+fn add_counters(span: &Span, table: &StepTable) {
+    span.add("schedule.routing_stalls", table.routing_stalls as u64);
+    span.add("schedule.parallel_merges", table.parallel_merges as u64);
+    span.add("schedule.routed_merges", table.routed_merges as u64);
+    span.add("schedule.corridor_tiles", table.corridor_tiles as u64);
+}
+
+/// The full [`Schedule`] and the [`StepTable`] of the same run.
+fn schedule_and_table(
+    program: &LogicalProgram,
+    placement: &Placement,
+) -> Result<(Schedule, StepTable), RoutingError> {
+    let mut members = Members { steps: Vec::new(), corridors: Vec::with_capacity(program.len()) };
+    let table = schedule_into(program, placement, &mut members)?;
+    let mut steps = members.steps;
+    for (step, summary) in steps.iter_mut().zip(&table.steps) {
+        step.logical_time_steps = summary.logical_time_steps as usize;
+    }
+    let sched = Schedule {
+        steps,
+        logical_time_steps: table.logical_time_steps,
+        routing_stalls: table.routing_stalls,
+        parallel_merges: table.parallel_merges,
+        corridors: members.corridors,
+    };
+    Ok((sched, table))
+}
+
+/// The one scheduling loop of each strategy, filling a [`StepTable`] and
+/// feeding `sink`.
+fn schedule_into(
+    program: &LogicalProgram,
+    placement: &Placement,
+    sink: &mut impl Sink,
+) -> Result<StepTable, RoutingError> {
+    let mut table = StepTable::with_capacity(program.len());
+    match placement.strategy() {
+        LayoutStrategy::SingleLane => schedule_single_lane(program, placement, &mut table, sink),
+        LayoutStrategy::RowMajor | LayoutStrategy::Checkerboard => {
+            schedule_routed(program, placement, &mut table, sink)?
+        }
+    }
+    Ok(table.finish())
 }
 
 /// The row-major index `r * cols + c` of a tile: the key of the
@@ -146,57 +373,44 @@ fn tile_index(placement: &Placement) -> impl Fn(Tile) -> usize {
     move |(r, c)| r * cols + c
 }
 
-/// Joint measurements sharing a step with at least one other joint
-/// measurement, summed over steps.
-fn parallel_merges(program: &LogicalProgram, steps: &[ScheduleStep]) -> usize {
-    steps
-        .iter()
-        .map(|step| {
-            let merges = step
-                .instructions
-                .iter()
-                .filter(|&&i| program.instructions()[i].qubits.len() == 2)
-                .count();
-            if merges >= 2 {
-                merges
-            } else {
-                0
-            }
-        })
-        .sum()
-}
-
 /// The original footprint scheduler, preserved bit-for-bit for the
 /// single-lane floorplan: an instruction starts at the earliest step at
 /// which every tile of its static footprint is free.
-fn schedule_single_lane(program: &LogicalProgram, placement: &Placement) -> Schedule {
+fn schedule_single_lane(
+    program: &LogicalProgram,
+    placement: &Placement,
+    table: &mut StepTable,
+    sink: &mut impl Sink,
+) {
+    let cols = placement.tile_cols();
     let index = tile_index(placement);
     let mut next_free = vec![0usize; placement.total_tiles()];
-    let mut steps: Vec<ScheduleStep> = Vec::new();
-    let mut corridors: Vec<Option<Vec<Tile>>> = Vec::with_capacity(program.len());
-    let mut routing_stalls = 0usize;
     for (idx, pi) in program.instructions().iter().enumerate() {
         // The static footprint is the operand data tiles plus the lane
-        // span, which is also the merge's recorded corridor.
+        // span, which is also the merge's recorded corridor. The lane is
+        // tile row 1, so the span is one contiguous run of `next_free`.
         let data = || pi.qubits.iter().map(|&q| index(placement.data_tile(q)));
-        let lane = placement.lane_span(pi);
+        let lane = placement.lane_columns(pi);
         let ready = data().map(|i| next_free[i]).max().unwrap_or(0);
-        let start = lane.iter().map(|&t| next_free[index(t)]).fold(ready, usize::max);
+        let start = match lane {
+            Some((lo, hi)) => {
+                next_free[cols + lo..=cols + hi].iter().copied().fold(ready, usize::max)
+            }
+            None => ready,
+        };
         // The congestion metric: how much later the lane let the merge run
         // than its operands alone would have.
-        routing_stalls += start - ready;
-        if start == steps.len() {
-            steps.push(ScheduleStep { instructions: Vec::new(), logical_time_steps: 0 });
-        }
-        let step = &mut steps[start];
-        step.instructions.push(idx);
-        step.logical_time_steps = step.logical_time_steps.max(pi.instruction.logical_time_steps());
-        for i in data().chain(lane.iter().map(|&t| index(t))) {
+        table.routing_stalls += start - ready;
+        table.place(start, pi);
+        for i in data() {
             next_free[i] = start + 1;
         }
-        corridors.push(if lane.is_empty() { None } else { Some(lane) });
+        if let Some((lo, hi)) = lane {
+            next_free[cols + lo..=cols + hi].fill(start + 1);
+            table.route(hi - lo + 1);
+        }
+        sink.place(idx, start, || lane.map(|(lo, hi)| (lo..=hi).map(|c| (1, c)).collect()));
     }
-    Schedule { steps, logical_time_steps: 0, routing_stalls, parallel_merges: 0, corridors }
 }
 
 /// The congestion-aware scheduler for 2D floorplans: merges claim a BFS
@@ -207,13 +421,12 @@ fn schedule_single_lane(program: &LogicalProgram, placement: &Placement) -> Sche
 fn schedule_routed(
     program: &LogicalProgram,
     placement: &Placement,
-) -> Result<Schedule, RoutingError> {
+    table: &mut StepTable,
+    sink: &mut impl Sink,
+) -> Result<(), RoutingError> {
     let index = tile_index(placement);
     let mut next_free = vec![0usize; placement.total_tiles()];
     let mut reserved = Reservations::new(placement.tile_rows(), placement.tile_cols());
-    let mut steps: Vec<ScheduleStep> = Vec::new();
-    let mut corridors: Vec<Option<Vec<Tile>>> = Vec::with_capacity(program.len());
-    let mut routing_stalls = 0usize;
     for (idx, pi) in program.instructions().iter().enumerate() {
         let data = || pi.qubits.iter().map(|&q| index(placement.data_tile(q)));
         let ready = data().map(|i| next_free[i]).max().unwrap_or(0);
@@ -236,7 +449,7 @@ fn schedule_routed(
                         });
                     }
                     None => {
-                        routing_stalls += 1;
+                        table.routing_stalls += 1;
                         s += 1;
                     }
                 }
@@ -244,25 +457,21 @@ fn schedule_routed(
         } else {
             (ready, None)
         };
-        if start == steps.len() {
-            steps.push(ScheduleStep { instructions: Vec::new(), logical_time_steps: 0 });
-        }
-        let step = &mut steps[start];
-        step.instructions.push(idx);
-        step.logical_time_steps = step.logical_time_steps.max(pi.instruction.logical_time_steps());
+        table.place(start, pi);
         // Only corridor tiles need reserving: operand data tiles host
         // patches, which corridor passability already excludes, and the
         // `reserved_at == 0` unroutability check above relies on steps
         // without merges staying empty.
         if let Some(corridor) = &corridor {
             reserved.reserve(start, corridor.iter().copied());
+            table.route(corridor.len());
         }
         for i in data() {
             next_free[i] = start + 1;
         }
-        corridors.push(corridor);
+        sink.place(idx, start, || corridor);
     }
-    Ok(Schedule { steps, logical_time_steps: 0, routing_stalls, parallel_merges: 0, corridors })
+    Ok(())
 }
 
 #[cfg(test)]

@@ -9,10 +9,20 @@
 //! merge) must produce the identical `Schedule` — steps, corridors,
 //! `routing_stalls`, `parallel_merges` — or the identical `RoutingError`,
 //! on every workload family, layout and grid shape.
+//!
+//! The compact `StepTable` that `schedule_steps` returns (and estimates
+//! are priced from) is checked against the same oracle: every aggregate
+//! derived from the oracle's `Schedule` must match, and its duration must
+//! equal the old per-member `fold(0.0, f64::max)` summed over steps, bit
+//! for bit, for random per-kind times with zeros and ties.
 
 use proptest::prelude::*;
 
-use tiscc::program::{schedule, LayoutSpec, LogicalProgram, Placement, PlacementError};
+use tiscc::core::instruction::Instruction;
+use tiscc::program::{
+    kind_bit, schedule, schedule_steps, LayoutSpec, LogicalProgram, Placement, PlacementError,
+    Schedule, StepSummary, StepTable,
+};
 use tiscc::workloads::{generate, Family, GenSpec};
 
 mod oracle {
@@ -244,9 +254,76 @@ mod oracle {
 const GRIDS: [Option<(usize, usize)>; 6] =
     [None, Some((4, 80)), Some((5, 80)), Some((3, 320)), Some((6, 400)), Some((7, 64))];
 
-/// Asserts the library scheduler agrees with the oracle on `program`
-/// under every strategy × grid that can place it; returns how many
-/// floorplans were compared.
+/// The step table a `Schedule` implies: each instruction's step, each
+/// step's cost, width, merge count and kind mask, and the totals.
+fn table_of(program: &LogicalProgram, sched: &Schedule) -> StepTable {
+    let mut step_of = vec![u32::MAX; program.len()];
+    let steps = sched
+        .steps
+        .iter()
+        .enumerate()
+        .map(|(s, step)| {
+            let mut summary = StepSummary {
+                logical_time_steps: step.logical_time_steps as u32,
+                width: step.instructions.len() as u32,
+                ..StepSummary::default()
+            };
+            for &i in &step.instructions {
+                let pi = &program.instructions()[i];
+                step_of[i] = s as u32;
+                summary.merges += u32::from(pi.qubits.len() == 2);
+                summary.kinds |= kind_bit(pi.instruction);
+            }
+            summary
+        })
+        .collect();
+    StepTable {
+        step_of,
+        steps,
+        logical_time_steps: sched.logical_time_steps,
+        routing_stalls: sched.routing_stalls,
+        routed_merges: sched.routed_merges(),
+        corridor_tiles: sched.corridors.iter().flatten().map(Vec::len).sum(),
+        parallel_merges: sched.parallel_merges,
+        max_parallelism: sched.max_parallelism(),
+    }
+}
+
+/// Per-kind times drawn from `seed`: zeros, ties and distinct values.
+fn kind_times(seed: u64) -> [f64; 16] {
+    let mut state = seed;
+    let mut times = [0.0; 16];
+    for t in &mut times {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        *t = match state >> 61 {
+            0 | 1 => 0.0,
+            2 => 1.5e-3,
+            3 => 1.5e-3 * 3.0,
+            _ => (state >> 11) as f64 / (1u64 << 53) as f64 * 0.25,
+        };
+    }
+    times
+}
+
+/// The duration the estimator and frontier computed before the step
+/// table: each step's members folded with `f64::max` in program order,
+/// summed over steps.
+fn member_fold_duration(program: &LogicalProgram, sched: &Schedule, times: &[f64; 16]) -> f64 {
+    sched
+        .steps
+        .iter()
+        .map(|step| {
+            step.instructions
+                .iter()
+                .map(|&i| times[program.instructions()[i].instruction as usize])
+                .fold(0.0, f64::max)
+        })
+        .sum()
+}
+
+/// Asserts the library scheduler and step table agree with the oracle on
+/// `program` under every strategy × grid that can place it; returns how
+/// many floorplans were compared.
 fn assert_matches_oracle(program: &LogicalProgram) -> usize {
     let mut compared = 0;
     for strategy in [LayoutSpec::single_lane(), LayoutSpec::row_major(), LayoutSpec::checkerboard()]
@@ -261,12 +338,35 @@ fn assert_matches_oracle(program: &LogicalProgram) -> usize {
                 Err(PlacementError::GridTooSmall { .. }) => continue,
                 Err(e) => panic!("{spec:?}: {e}"),
             };
+            let expected = oracle::schedule(program, &placement);
             assert_eq!(
                 schedule(program, &placement),
-                oracle::schedule(program, &placement),
+                expected,
                 "{} under {spec:?}",
                 program.name()
             );
+            let table = schedule_steps(program, &placement);
+            match &expected {
+                Ok(sched) => {
+                    let table = table.unwrap();
+                    assert_eq!(
+                        table,
+                        table_of(program, sched),
+                        "{} under {spec:?}",
+                        program.name()
+                    );
+                    for seed in 0..4 {
+                        let times = kind_times(seed ^ program.len() as u64);
+                        assert_eq!(
+                            table.duration_s(|kind| times[kind as usize]).to_bits(),
+                            member_fold_duration(program, sched, &times).to_bits(),
+                            "{} under {spec:?}, times {times:?}",
+                            program.name()
+                        );
+                    }
+                }
+                Err(e) => assert_eq!(table.as_ref().unwrap_err(), e),
+            }
             compared += 1;
         }
     }
@@ -316,4 +416,32 @@ fn unroutable_floorplans_fail_with_the_oracle_error() {
         Placement::allocate_with(&program, &LayoutSpec::checkerboard().with_grid(24, 24)).unwrap();
     let expected = oracle::schedule(&program, &placement).unwrap_err();
     assert_eq!(schedule(&program, &placement).unwrap_err(), expected);
+    assert_eq!(schedule_steps(&program, &placement).unwrap_err(), expected);
+}
+
+/// Every workload family at a fixed size, on every layout and grid.
+#[test]
+fn every_zoo_family_matches_the_oracle() {
+    for &family in Family::all() {
+        let program = generate(&GenSpec::new(family).with_n(12).with_seed(3)).unwrap();
+        assert!(assert_matches_oracle(&program) > 0, "{family} placed nowhere");
+    }
+}
+
+/// Kinds fit the step table's 16-bit mask, and a step's duration is read
+/// off the mask: a step of only zero-time kinds costs nothing, and ties
+/// and zeros give the member fold's exact bits.
+#[test]
+fn step_duration_is_the_maximum_over_the_kinds_present() {
+    assert!(Instruction::all().len() <= 16);
+    let program = tiscc::program::examples::teleportation();
+    let placement = Placement::allocate(&program);
+    let sched = schedule(&program, &placement).unwrap();
+    let table = schedule_steps(&program, &placement).unwrap();
+    for times in [[0.0; 16], [2.5e-3; 16], kind_times(1), kind_times(99)] {
+        assert_eq!(
+            table.duration_s(|kind| times[kind as usize]).to_bits(),
+            member_fold_duration(&program, &sched, &times).to_bits()
+        );
+    }
 }

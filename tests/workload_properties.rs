@@ -69,3 +69,51 @@ proptest! {
         }
     }
 }
+
+/// The peak live-qubit count by brute force: recount every qubit after
+/// each instruction.
+fn brute_force_max_live(program: &LogicalProgram) -> usize {
+    use tiscc::core::instruction::Instruction;
+    let mut live = vec![false; program.qubit_count()];
+    let mut peak = 0;
+    for pi in program.instructions() {
+        match pi.instruction {
+            Instruction::PrepareZ
+            | Instruction::PrepareX
+            | Instruction::InjectY
+            | Instruction::InjectT => live[pi.qubits[0].0] = true,
+            Instruction::MeasureZ | Instruction::MeasureX => live[pi.qubits[0].0] = false,
+            _ => {}
+        }
+        peak = peak.max(live.iter().filter(|&&l| l).count());
+    }
+    peak
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The running live count agrees with a full recount on every family.
+    #[test]
+    fn max_live_qubits_matches_a_full_recount(spec in arb_spec()) {
+        let program = generate(&spec).unwrap();
+        prop_assert_eq!(program.max_live_qubits(), brute_force_max_live(&program));
+    }
+}
+
+/// The running count also holds on programs that break liveness: a
+/// repeated preparation and a measurement of a dead qubit change nothing.
+#[test]
+fn max_live_qubits_ignores_redundant_prepares_and_measures() {
+    let mut program = LogicalProgram::new("invalid");
+    let (a, b) = (program.add_qubit("a").unwrap(), program.add_qubit("b").unwrap());
+    program.prepare_z(a).unwrap();
+    program.prepare_z(a).unwrap();
+    program.measure_z(b).unwrap();
+    program.prepare_z(b).unwrap();
+    program.measure_z(a).unwrap();
+    program.measure_z(a).unwrap();
+    assert!(program.validate().is_err());
+    assert_eq!(program.max_live_qubits(), 2);
+    assert_eq!(program.max_live_qubits(), brute_force_max_live(&program));
+}
