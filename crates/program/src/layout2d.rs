@@ -396,16 +396,16 @@ impl Placement {
     /// row under every column spanned by the operands. Empty for direct
     /// merges and for 2D strategies.
     pub fn lane_span(&self, pi: &ProgramInstruction) -> Vec<Tile> {
-        match self.lane_columns(pi) {
-            Some((lo, hi)) => (lo..=hi).map(|c| (1, c)).collect(),
+        match self.lane_ends(pi) {
+            Some(((row, lo), (_, hi))) => (lo..=hi).map(|c| (row, c)).collect(),
             None => Vec::new(),
         }
     }
 
-    /// The inclusive lane-column range `(lo, hi)` of [`Placement::lane_span`]
-    /// (its tiles are `(1, lo) ..= (1, hi)`), without materialising the
-    /// tiles; `None` where the span is empty.
-    pub fn lane_columns(&self, pi: &ProgramInstruction) -> Option<(usize, usize)> {
+    /// The first and last tile of [`Placement::lane_span`], which runs
+    /// along one lane row between them, without materialising the tiles;
+    /// `None` where the span is empty.
+    pub fn lane_ends(&self, pi: &ProgramInstruction) -> Option<(Tile, Tile)> {
         if self.strategy != LayoutStrategy::SingleLane || pi.qubits.len() != 2 {
             return None;
         }
@@ -413,7 +413,8 @@ impl Placement {
             return None;
         }
         let (ca, cb) = (self.column(pi.qubits[0]), self.column(pi.qubits[1]));
-        Some((ca.min(cb), ca.max(cb)))
+        // The lane is the tile row under the data row.
+        Some(((1, ca.min(cb)), (1, ca.max(cb))))
     }
 
     /// The trapped-ion grid hosting this placement at code distance `d`:

@@ -54,6 +54,6 @@ pub use layout2d::{LayoutSpec, LayoutStrategy, Placement, PlacementError, Tile, 
 pub use parse::ParseError;
 pub use route::{find_corridor, Reservations, RoutingError};
 pub use schedule::{
-    kind_bit, schedule, schedule_steps, schedule_steps_with, schedule_with, Schedule, ScheduleStep,
-    StepSummary, StepTable,
+    kind_bit, schedule, schedule_steps, schedule_steps_with, Schedule, ScheduleStep, StepSummary,
+    StepTable,
 };

@@ -30,12 +30,13 @@
 //! row, so it is one slice of that table.
 //!
 //! Each strategy has one scheduling loop, and it always fills a compact
-//! [`StepTable`]: each instruction's step, a fixed-size [`StepSummary`]
-//! per step and the schedule's totals. [`schedule_steps`] returns just
+//! [`StepTable`]: a fixed-size [`StepSummary`] per step and the
+//! schedule's totals. [`schedule_steps`] returns just
 //! that — routed corridors are dropped once reserved and lane segments
 //! are never built — and is what estimates are priced from.
-//! [`schedule`] runs the same loop with a sink that also collects each
-//! step's members and each merge's corridor into a [`Schedule`].
+//! [`schedule`] runs the same loop with a sink that also keeps each
+//! instruction's step and corridor, then fills each step's member list,
+//! allocated at the width the table recorded, into a [`Schedule`].
 //!
 //! A step's duration in *logical time steps* is the maximum over its
 //! members (paper Table 1 accounting): a step holding only zero-step
@@ -132,18 +133,14 @@ pub fn kind_bit(kind: Instruction) -> u16 {
     1 << kind as u16
 }
 
-/// The compact result of scheduling: each instruction's step, a
-/// fixed-size summary per step, and the schedule's totals. It holds
-/// everything an estimate reads — depth, logical time steps, congestion
-/// counts and each step's most expensive member — but no per-step member
-/// lists and no corridors, so it costs a few bytes per instruction.
-/// [`schedule`] fills the same table in the same loop and returns the
-/// full [`Schedule`] instead.
+/// The compact result of scheduling: a fixed-size summary per step and
+/// the schedule's totals. It holds everything an estimate reads — depth,
+/// logical time steps, congestion counts and each step's most expensive
+/// member — but no member lists and no corridors, so it costs a few bytes
+/// per step. [`schedule`] fills the same table in the same loop and
+/// returns the full [`Schedule`] instead.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StepTable {
-    /// The step of each instruction, indexed like
-    /// [`LogicalProgram::instructions`].
-    pub step_of: Vec<u32>,
     /// The parallel steps, in execution order.
     pub steps: Vec<StepSummary>,
     /// Total logical time steps: the sum over steps.
@@ -161,10 +158,6 @@ pub struct StepTable {
 }
 
 impl StepTable {
-    fn with_capacity(instructions: usize) -> Self {
-        StepTable { step_of: Vec::with_capacity(instructions), ..StepTable::default() }
-    }
-
     /// Number of parallel steps.
     pub fn depth(&self) -> usize {
         self.steps.len()
@@ -218,7 +211,6 @@ impl StepTable {
         summary.kinds |= kind_bit(pi.instruction);
         summary.logical_time_steps =
             summary.logical_time_steps.max(pi.instruction.logical_time_steps() as u32);
-        self.step_of.push(u32::try_from(step).expect("step index fits in u32"));
     }
 
     /// Counts one merge corridor (or lane segment) of `tiles` tiles.
@@ -240,35 +232,30 @@ impl StepTable {
     }
 }
 
-/// Where the scheduling loop sends each placed instruction besides the
-/// [`StepTable`]: [`schedule`] collects step members and corridors into
-/// a [`Schedule`], [`schedule_steps`] keeps nothing.
+/// Where the scheduling loop sends each placed instruction, in program
+/// order, besides the [`StepTable`]: [`schedule`] keeps each one's step
+/// and corridor, [`schedule_steps`] keeps nothing.
 trait Sink {
-    /// Instruction `idx` runs in `step`, which is at most one past the
-    /// last step so far; `corridor` builds the tiles of its merge corridor
-    /// or lane segment (`None` when it has none).
-    fn place(&mut self, idx: usize, step: usize, corridor: impl FnOnce() -> Option<Vec<Tile>>);
+    /// The next instruction runs in `step`; `corridor` builds the tiles of
+    /// its merge corridor or lane segment (`None` when it has none).
+    fn place(&mut self, step: usize, corridor: impl FnOnce() -> Option<Vec<Tile>>);
 }
 
 /// The sink of [`schedule_steps`]: routed corridors are dropped and lane
 /// segments are never built.
 impl Sink for () {
-    fn place(&mut self, _: usize, _: usize, _: impl FnOnce() -> Option<Vec<Tile>>) {}
+    fn place(&mut self, _: usize, _: impl FnOnce() -> Option<Vec<Tile>>) {}
 }
 
-/// The sink of [`schedule`]: each step's members and each instruction's
-/// corridor.
+/// The sink of [`schedule`]: each instruction's step and corridor.
 struct Members {
-    steps: Vec<ScheduleStep>,
+    step_of: Vec<u32>,
     corridors: Vec<Option<Vec<Tile>>>,
 }
 
 impl Sink for Members {
-    fn place(&mut self, idx: usize, step: usize, corridor: impl FnOnce() -> Option<Vec<Tile>>) {
-        if step == self.steps.len() {
-            self.steps.push(ScheduleStep { instructions: Vec::new(), logical_time_steps: 0 });
-        }
-        self.steps[step].instructions.push(idx);
+    fn place(&mut self, step: usize, corridor: impl FnOnce() -> Option<Vec<Tile>>) {
+        self.step_of.push(u32::try_from(step).expect("step index fits in u32"));
         self.corridors.push(corridor());
     }
 }
@@ -278,23 +265,31 @@ impl Sink for Members {
 /// corridor routing. Fails with a [`RoutingError`] when a merge cannot be
 /// routed under the floorplan at all.
 pub fn schedule(program: &LogicalProgram, placement: &Placement) -> Result<Schedule, RoutingError> {
-    schedule_and_table(program, placement).map(|(sched, _)| sched)
-}
-
-/// [`schedule`] wrapped in a telemetry span: opens a `schedule` child
-/// under `parent`, and on success promotes the schedule's ad-hoc
-/// congestion fields into counters — `schedule.routing_stalls`,
-/// `schedule.parallel_merges`, `schedule.routed_merges` and
-/// `schedule.corridor_tiles` (total tiles across all merge corridors).
-pub fn schedule_with(
-    program: &LogicalProgram,
-    placement: &Placement,
-    parent: &Span,
-) -> Result<Schedule, RoutingError> {
-    let span = parent.child("schedule");
-    let (sched, table) = schedule_and_table(program, placement)?;
-    add_counters(&span, &table);
-    Ok(sched)
+    let mut members = Members {
+        step_of: Vec::with_capacity(program.len()),
+        corridors: Vec::with_capacity(program.len()),
+    };
+    let table = schedule_into(program, placement, &mut members)?;
+    // The table knows each step's width, so every member list is
+    // allocated once at its final size and filled in program order.
+    let mut steps: Vec<ScheduleStep> = table
+        .steps
+        .iter()
+        .map(|summary| ScheduleStep {
+            instructions: Vec::with_capacity(summary.width as usize),
+            logical_time_steps: summary.logical_time_steps as usize,
+        })
+        .collect();
+    for (idx, &step) in members.step_of.iter().enumerate() {
+        steps[step as usize].instructions.push(idx);
+    }
+    Ok(Schedule {
+        steps,
+        logical_time_steps: table.logical_time_steps,
+        routing_stalls: table.routing_stalls,
+        parallel_merges: table.parallel_merges,
+        corridors: members.corridors,
+    })
 }
 
 /// Schedules `program` against `placement` exactly as [`schedule`] does,
@@ -308,8 +303,11 @@ pub fn schedule_steps(
     schedule_into(program, placement, &mut ())
 }
 
-/// [`schedule_steps`] wrapped in the same `schedule` span and counters as
-/// [`schedule_with`].
+/// [`schedule_steps`] wrapped in a telemetry span: opens a `schedule`
+/// child under `parent`, and on success promotes the table's congestion
+/// totals into counters — `schedule.routing_stalls`,
+/// `schedule.parallel_merges`, `schedule.routed_merges` and
+/// `schedule.corridor_tiles` (total tiles across all merge corridors).
 pub fn schedule_steps_with(
     program: &LogicalProgram,
     placement: &Placement,
@@ -317,36 +315,11 @@ pub fn schedule_steps_with(
 ) -> Result<StepTable, RoutingError> {
     let span = parent.child("schedule");
     let table = schedule_steps(program, placement)?;
-    add_counters(&span, &table);
-    Ok(table)
-}
-
-fn add_counters(span: &Span, table: &StepTable) {
     span.add("schedule.routing_stalls", table.routing_stalls as u64);
     span.add("schedule.parallel_merges", table.parallel_merges as u64);
     span.add("schedule.routed_merges", table.routed_merges as u64);
     span.add("schedule.corridor_tiles", table.corridor_tiles as u64);
-}
-
-/// The full [`Schedule`] and the [`StepTable`] of the same run.
-fn schedule_and_table(
-    program: &LogicalProgram,
-    placement: &Placement,
-) -> Result<(Schedule, StepTable), RoutingError> {
-    let mut members = Members { steps: Vec::new(), corridors: Vec::with_capacity(program.len()) };
-    let table = schedule_into(program, placement, &mut members)?;
-    let mut steps = members.steps;
-    for (step, summary) in steps.iter_mut().zip(&table.steps) {
-        step.logical_time_steps = summary.logical_time_steps as usize;
-    }
-    let sched = Schedule {
-        steps,
-        logical_time_steps: table.logical_time_steps,
-        routing_stalls: table.routing_stalls,
-        parallel_merges: table.parallel_merges,
-        corridors: members.corridors,
-    };
-    Ok((sched, table))
+    Ok(table)
 }
 
 /// The one scheduling loop of each strategy, filling a [`StepTable`] and
@@ -356,7 +329,7 @@ fn schedule_into(
     placement: &Placement,
     sink: &mut impl Sink,
 ) -> Result<StepTable, RoutingError> {
-    let mut table = StepTable::with_capacity(program.len());
+    let mut table = StepTable::default();
     match placement.strategy() {
         LayoutStrategy::SingleLane => schedule_single_lane(program, placement, &mut table, sink),
         LayoutStrategy::RowMajor | LayoutStrategy::Checkerboard => {
@@ -382,20 +355,17 @@ fn schedule_single_lane(
     table: &mut StepTable,
     sink: &mut impl Sink,
 ) {
-    let cols = placement.tile_cols();
     let index = tile_index(placement);
     let mut next_free = vec![0usize; placement.total_tiles()];
-    for (idx, pi) in program.instructions().iter().enumerate() {
+    for pi in program.instructions() {
         // The static footprint is the operand data tiles plus the lane
-        // span, which is also the merge's recorded corridor. The lane is
-        // tile row 1, so the span is one contiguous run of `next_free`.
+        // span, which is also the merge's recorded corridor. The span runs
+        // along one tile row, so it is one contiguous run of `next_free`.
         let data = || pi.qubits.iter().map(|&q| index(placement.data_tile(q)));
-        let lane = placement.lane_columns(pi);
+        let lane = placement.lane_ends(pi).map(|(first, last)| index(first)..=index(last));
         let ready = data().map(|i| next_free[i]).max().unwrap_or(0);
-        let start = match lane {
-            Some((lo, hi)) => {
-                next_free[cols + lo..=cols + hi].iter().copied().fold(ready, usize::max)
-            }
+        let start = match &lane {
+            Some(span) => next_free[span.clone()].iter().copied().fold(ready, usize::max),
             None => ready,
         };
         // The congestion metric: how much later the lane let the merge run
@@ -405,11 +375,14 @@ fn schedule_single_lane(
         for i in data() {
             next_free[i] = start + 1;
         }
-        if let Some((lo, hi)) = lane {
-            next_free[cols + lo..=cols + hi].fill(start + 1);
-            table.route(hi - lo + 1);
+        if let Some(span) = lane {
+            let segment = &mut next_free[span];
+            table.route(segment.len());
+            segment.fill(start + 1);
+            sink.place(start, || Some(placement.lane_span(pi)));
+        } else {
+            sink.place(start, || None);
         }
-        sink.place(idx, start, || lane.map(|(lo, hi)| (lo..=hi).map(|c| (1, c)).collect()));
     }
 }
 
@@ -427,7 +400,7 @@ fn schedule_routed(
     let index = tile_index(placement);
     let mut next_free = vec![0usize; placement.total_tiles()];
     let mut reserved = Reservations::new(placement.tile_rows(), placement.tile_cols());
-    for (idx, pi) in program.instructions().iter().enumerate() {
+    for pi in program.instructions() {
         let data = || pi.qubits.iter().map(|&q| index(placement.data_tile(q)));
         let ready = data().map(|i| next_free[i]).max().unwrap_or(0);
         let (start, corridor) = if pi.qubits.len() == 2 {
@@ -469,7 +442,7 @@ fn schedule_routed(
         for i in data() {
             next_free[i] = start + 1;
         }
-        sink.place(idx, start, || corridor);
+        sink.place(start, || corridor);
     }
     Ok(())
 }

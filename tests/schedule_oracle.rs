@@ -254,15 +254,13 @@ mod oracle {
 const GRIDS: [Option<(usize, usize)>; 6] =
     [None, Some((4, 80)), Some((5, 80)), Some((3, 320)), Some((6, 400)), Some((7, 64))];
 
-/// The step table a `Schedule` implies: each instruction's step, each
-/// step's cost, width, merge count and kind mask, and the totals.
+/// The step table a `Schedule` implies: each step's cost, width, merge
+/// count and kind mask, and the totals.
 fn table_of(program: &LogicalProgram, sched: &Schedule) -> StepTable {
-    let mut step_of = vec![u32::MAX; program.len()];
     let steps = sched
         .steps
         .iter()
-        .enumerate()
-        .map(|(s, step)| {
+        .map(|step| {
             let mut summary = StepSummary {
                 logical_time_steps: step.logical_time_steps as u32,
                 width: step.instructions.len() as u32,
@@ -270,7 +268,6 @@ fn table_of(program: &LogicalProgram, sched: &Schedule) -> StepTable {
             };
             for &i in &step.instructions {
                 let pi = &program.instructions()[i];
-                step_of[i] = s as u32;
                 summary.merges += u32::from(pi.qubits.len() == 2);
                 summary.kinds |= kind_bit(pi.instruction);
             }
@@ -278,7 +275,6 @@ fn table_of(program: &LogicalProgram, sched: &Schedule) -> StepTable {
         })
         .collect();
     StepTable {
-        step_of,
         steps,
         logical_time_steps: sched.logical_time_steps,
         routing_stalls: sched.routing_stalls,
